@@ -10,9 +10,10 @@ the byte-manipulation and compare instructions the hand-tuned filters need):
 * :mod:`repro.alpha.machine` — the concrete processor (no safety checks),
 * :mod:`repro.alpha.abstract` — the paper's abstract machine (Figure 3),
   which blocks on any rd()/wr() safety-check failure,
-* :mod:`repro.alpha.engine` — the threaded-code execution engine: the
-  same semantics as both machines (checks are a decode-time parameter),
-  pre-decoded into per-instruction closures for the perf harness.
+* :mod:`repro.alpha.engine` — the execution engine: the same semantics
+  as both machines (checks are a decode-time parameter), compiled into
+  basic-block functions for the perf harness, with the block that would
+  cross the step limit stepped on the reference machine.
 """
 
 from repro.alpha.isa import (
@@ -36,7 +37,7 @@ from repro.alpha.parser import parse_program, format_program
 from repro.alpha.encoding import encode_program, decode_program
 from repro.alpha.machine import Machine, Memory, MachineResult
 from repro.alpha.abstract import AbstractMachine, abstract_engine, run_abstract
-from repro.alpha.engine import ExecutionEngine, compile_program, run_program
+from repro.alpha.engine import ExecutionEngine, compile_program
 
 __all__ = [
     "NUM_REGS",
@@ -66,5 +67,4 @@ __all__ = [
     "run_abstract",
     "ExecutionEngine",
     "compile_program",
-    "run_program",
 ]

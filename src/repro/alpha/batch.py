@@ -1,8 +1,8 @@
 """Whole-trace batch compilation for the packet-filter hot path.
 
 :class:`~repro.alpha.engine.ExecutionEngine` already removes the
-per-instruction interpretation cost (closure tables, exec-compiled
-basic-block superinstructions), but the dispatch runtime still pays a
+per-instruction interpretation cost (exec-compiled basic-block
+superinstructions), but the dispatch runtime still pays a
 fixed per-*invocation* Python toll: rebind the packet region, build the
 register dict, enter ``run()``, thread every block transition through
 the run loop, allocate a :class:`MachineResult`.  At ~6 µs per
@@ -76,7 +76,6 @@ from typing import NamedTuple
 from repro.alpha.isa import (
     Br,
     Branch,
-    Lda,
     Ldah,
     Ldq,
     Lit,
@@ -84,6 +83,8 @@ from repro.alpha.isa import (
     Program,
     Ret,
     Stq,
+    block_partition,
+    branch_target,
 )
 from repro.alpha.machine import WORD_MASK, _branch_taken, _operate, _sext16
 from repro.errors import BudgetExceeded, MachineError
@@ -163,51 +164,32 @@ class BatchRunner:
         return self._budgeted(frames, start, cycle_budget)
 
 
-def batch_capability(program: Program,
-                     max_steps: int = 1_000_000) -> str | None:
-    """Why ``program`` cannot take the compiled batch path, or ``None``.
+class _BlockGraph(NamedTuple):
+    """The driver's block DAG: per-leader step and cycle charges (the
+    engine's, over the same :func:`~repro.alpha.isa.block_partition`)
+    and the worst-case path cost from pc 0."""
 
-    The explicit admission-time capability probe: store-bearing and
-    looping programs (the write-capable KV family) are *expected* here,
-    and must route to the generic engine cleanly — this function never
-    raises, and :func:`compile_batch` consults it first so a
-    non-batchable program can never blow up mid-admission.
-    """
-    size = len(program)
+    block_len: dict[int, int]
+    block_cost: dict[int, int]
+    max_path_cycles: int
+
+
+def _block_graph(program: Program, cost_model,
+                 max_steps: int) -> _BlockGraph:
+    """Check the fast path's preconditions and size the block DAG in one
+    pass; raises :class:`_Fallback` naming the first one that fails."""
     for pc, instruction in enumerate(program):
         if isinstance(instruction, Stq):
-            return (f"store at pc={pc}: the driver folds scratch reads "
-                    f"to zero, so stores take the generic engine")
-        if not isinstance(instruction, (Operate, Ldq, Lda, Ldah,
-                                        Branch, Br, Ret)):
-            return (f"unsupported {type(instruction).__name__} "
-                    f"at pc={pc}")  # pragma: no cover - closed class
-    # Same block graph as the compiler, unit costs: detect cycles and
-    # step-limit-reachable worst-case paths without emitting anything.
-    leaders = {0} if size else set()
-    for pc, instruction in enumerate(program):
-        if isinstance(instruction, Branch):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
-            if pc + 1 < size:
-                leaders.add(pc + 1)
-        elif isinstance(instruction, Br):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
+            raise _Fallback(f"store at pc={pc}: the driver folds scratch "
+                            f"reads to zero, so stores take the generic "
+                            f"engine")
+    size = len(program)
+    costs = [cost_model.cycles(ins) if cost_model else 1 for ins in program]
     block_len: dict[int, int] = {}
-    for leader in leaders:
-        pc = leader
-        while True:
-            instruction = program[pc]
-            if isinstance(instruction, (Branch, Br, Ret)):
-                pc += 1
-                break
-            pc += 1
-            if pc >= size or pc in leaders:
-                break
-        block_len[leader] = pc - leader
+    block_cost: dict[int, int] = {}
+    for start, end in block_partition(program):
+        block_len[start] = end - start
+        block_cost[start] = sum(costs[start:end])
 
     def successors(leader: int) -> list[int]:
         last_pc = leader + block_len[leader] - 1
@@ -215,41 +197,59 @@ def batch_capability(program: Program,
         if isinstance(last, Ret):
             return []
         if isinstance(last, Br):
-            return [last_pc + 1 + last.offset]
+            return [branch_target(last_pc, last)]
         if isinstance(last, Branch):
-            return [last_pc + 1 + last.offset, last_pc + 1]
-        return [leader + block_len[leader]]
+            return [branch_target(last_pc, last), last_pc + 1]
+        return [last_pc + 1]    # fell through into a leader
 
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    steps_from: dict[int, int] = {}
+    # Depth-first over the blocks reachable from pc 0: a successor still
+    # on the DFS stack closes a loop.  The maxima bound every path, which
+    # the step-limit refusal and the budget elision rest on.
+    on_stack: set[int] = set()
+    max_cycles: dict[int, int] = {}
+    max_steps_from: dict[int, int] = {}
 
-    def visit(leader: int) -> str | None:
-        color[leader] = GREY
-        best = 0
+    def visit(leader: int) -> None:
+        on_stack.add(leader)
+        best_c = best_s = 0
         for succ in successors(leader):
             if not 0 <= succ < size:
-                continue
-            state = color.get(succ, WHITE)
-            if state == GREY:
-                return (f"loop through pc={succ}: the inlined tree "
-                        f"would be infinite")
-            if state == WHITE:
-                reason = visit(succ)
-                if reason is not None:
-                    return reason
-            best = max(best, steps_from.get(succ, 0))
-        color[leader] = BLACK
-        steps_from[leader] = block_len[leader] + best
-        return None
+                continue  # trap: zero further cost
+            if succ in on_stack:
+                raise _Fallback(f"loop through pc={succ}: the inlined "
+                                f"tree would be infinite")
+            if succ not in max_cycles:
+                visit(succ)
+            best_c = max(best_c, max_cycles[succ])
+            best_s = max(best_s, max_steps_from[succ])
+        on_stack.discard(leader)
+        max_cycles[leader] = block_cost[leader] + best_c
+        max_steps_from[leader] = block_len[leader] + best_s
 
     if size:
-        reason = visit(0)
-        if reason is not None:
-            return reason
-        if steps_from[0] >= max_steps:
-            return (f"worst-case path of {steps_from[0]} steps reaches "
-                    f"the {max_steps}-step limit")
+        visit(0)
+        if max_steps_from[0] >= max_steps:
+            # The reference could trip its step limit mid-run; the
+            # driver elides that check, so it may not serve here.
+            raise _Fallback(f"worst-case path of {max_steps_from[0]} steps "
+                            f"reaches the {max_steps}-step limit")
+    return _BlockGraph(block_len, block_cost, max_cycles.get(0, 0))
+
+
+def batch_capability(program: Program,
+                     max_steps: int = 1_000_000) -> str | None:
+    """Why ``program`` cannot take the compiled batch path, or ``None``.
+
+    The explicit admission-time capability probe: store-bearing and
+    looping programs (the write-capable KV family) are *expected* here,
+    and must route to the generic engine cleanly — this function never
+    raises, and :func:`compile_batch` runs the same check first so a
+    non-batchable program can never blow up mid-admission.
+    """
+    try:
+        _block_graph(program, None, max_steps)
+    except _Fallback as reason:
+        return str(reason)
     return None
 
 
@@ -258,91 +258,13 @@ def compile_batch(program: Program, cost_model, plan: FramePlan,
     """Compile ``program`` into a :class:`BatchRunner`, or ``None`` when
     the program falls outside the fast path's preconditions (see the
     module docstring) and the caller should use the generic engine."""
-    if batch_capability(program, max_steps) is not None:
-        return None
-    size = len(program)
-    costs = [cost_model.cycles(ins) if cost_model else 1 for ins in program]
-
-    # Block structure, exactly as the engine's superinstruction layer
-    # carves it: the driver must charge cycles and check budgets at the
-    # same boundaries or BudgetExceeded payloads would drift.
-    leaders = {0} if size else set()
-    for pc, instruction in enumerate(program):
-        if isinstance(instruction, Branch):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
-            if pc + 1 < size:
-                leaders.add(pc + 1)
-        elif isinstance(instruction, Br):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
-    block_len: dict[int, int] = {}
-    block_cost: dict[int, int] = {}
-    for leader in leaders:
-        pc = leader
-        while True:
-            instruction = program[pc]
-            if isinstance(instruction, (Branch, Br, Ret)):
-                pc += 1
-                break
-            pc += 1
-            if pc >= size or pc in leaders:
-                break
-        block_len[leader] = pc - leader
-        block_cost[leader] = sum(costs[leader:pc])
-
-    def successors(leader: int) -> list[int]:
-        last_pc = leader + block_len[leader] - 1
-        last = program[last_pc]
-        if isinstance(last, Ret):
-            return []
-        if isinstance(last, Br):
-            return [last_pc + 1 + last.offset]
-        if isinstance(last, Branch):
-            return [last_pc + 1 + last.offset, last_pc + 1]
-        return [leader + block_len[leader]]  # fell through into a leader
-
-    # Reject loops and step-limit-reachable programs; compute the DAG
-    # maxima the budget elision and the soundness argument rest on.
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    max_cycles: dict[int, int] = {}
-    max_steps_from: dict[int, int] = {}
-
-    def visit(leader: int) -> None:
-        color[leader] = GREY
-        best_c = best_s = 0
-        for succ in successors(leader):
-            if not 0 <= succ < size:
-                continue  # trap: zero further cost
-            state = color.get(succ, WHITE)
-            if state == GREY:
-                raise _Fallback("loop")
-            if state == WHITE:
-                visit(succ)
-            best_c = max(best_c, max_cycles[succ])
-            best_s = max(best_s, max_steps_from[succ])
-        color[leader] = BLACK
-        max_cycles[leader] = block_cost[leader] + best_c
-        max_steps_from[leader] = block_len[leader] + best_s
-
     try:
-        if size:
-            visit(0)
-            if max_steps_from[0] >= max_steps:
-                # The reference could trip its step limit mid-run; the
-                # driver elides that check, so it may not serve here.
-                return None
-        max_path_cycles = max_cycles.get(0, 0)
-        plain = _emit_driver(program, plan, leaders, block_len, block_cost,
-                             budgeted=False)
-        budgeted = _emit_driver(program, plan, leaders, block_len,
-                                block_cost, budgeted=True)
+        graph = _block_graph(program, cost_model, max_steps)
+        plain = _emit_driver(program, plan, graph, budgeted=False)
+        budgeted = _emit_driver(program, plan, graph, budgeted=True)
     except _Fallback:
         return None
-    return BatchRunner(plain, budgeted, max_path_cycles)
+    return BatchRunner(plain, budgeted, graph.max_path_cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +571,10 @@ def _tidy(lines: list[str]) -> list[str]:
     return out
 
 
-def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
-                 block_len: dict[int, int], block_cost: dict[int, int],
+def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
                  budgeted: bool):
     size = len(program)
+    block_len, block_cost = graph.block_len, graph.block_cost
     lines: list[str] = []
     counters: dict[int, str] = {}   # leaf cycles -> counter variable
     state = {"nodes": 0, "temps": 0}
@@ -794,7 +716,7 @@ def _emit_driver(program: Program, plan: FramePlan, leaders: set[int],
                      f'raise MachineError("pc {pc} outside program")')
                 return
             # Block entry: charge the block, then (budgeted) compare the
-            # now-constant clock, reproducing run_budgeted's payloads.
+            # now-constant clock, reproducing the engine's payloads.
             cum_cycles += block_cost[pc]
             if budgeted:
                 emit(indent, f"if {cum_cycles} > b:")

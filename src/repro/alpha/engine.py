@@ -1,4 +1,4 @@
-"""Threaded-code execution engine for the Alpha subset.
+"""Block-compiled execution engine for the Alpha subset.
 
 :class:`repro.alpha.machine.Machine` is the *reference* interpreter: it
 re-decodes every instruction on every step (``isinstance`` chains,
@@ -8,46 +8,41 @@ cost of the paper's evaluation, where four filters run over a
 200,000-packet trace under six approaches.
 
 This module removes the interpretation overhead without changing a single
-modeled cycle.  A :class:`Program` is translated *once* into a flat list
-of specialized per-instruction closures — classic threaded code, the same
-escape hatch real packet-filter stacks use when they outgrow a
-switch-based interpreter:
+modeled cycle.  A :class:`Program` is cut into basic blocks once, by
+:func:`repro.alpha.isa.block_partition`, and every block is compiled with
+``exec`` into one specialized Python function — a *superinstruction*:
 
-* operand register indices, sign-extended displacements, pre-shifted
-  literal amounts, and branch targets are resolved at decode time and
-  captured in closure cells;
-* the per-instruction cycle charge is looked up from the cost model once
-  per *static* instruction and stored in a parallel ``costs`` array, so
-  the run loop replaces a polymorphic ``cycles()`` call with a list index;
-* branch successors are validated at decode time: a target that leaves
-  the program compiles to a trap closure that raises the same
-  :class:`~repro.errors.MachineError` the reference machine would raise,
-  at the same point in execution, so the run loop needs no per-step
-  bounds check;
+* register indices, sign-extended displacements, shift amounts and
+  branch targets are literals in the generated source; registers live in
+  locals and are flushed to the register file at the block exit;
+* a block's dynamic step and cycle counts are decode-time constants, so
+  the run loop charges them with two additions per *block*;
+* a branch target that leaves the program resolves to a trap slot past
+  the program: a one-line function raising the same
+  :class:`~repro.errors.MachineError` the reference machine raises, at
+  the same point in execution, so the run loop needs no bounds check;
 * the abstract machine's rd()/wr() checks are a *decode-time* parameter:
-  passing ``check_read``/``check_write`` bakes the paper's Figure 3
-  safety checks into the LDQ/STQ closures, so
-  :mod:`repro.alpha.abstract` rides the same engine (see
+  passing ``check_read``/``check_write`` emits the paper's Figure 3
+  checks before every LDQ/STQ (see
   :func:`repro.alpha.abstract.abstract_engine`).
 
-On top of the closure table sits a second decode layer: *basic-block
-superinstructions*.  Straight-line runs (single entry, terminated by a
-control transfer or the next branch target) are compiled with ``exec``
-into one specialized Python function per block — constants inlined as
-literals, registers held in locals and flushed to the register file at
-the block exit.  A block's dynamic step and cycle counts are decode-time
-constants, so the run loop charges them with two additions per *block*
-instead of per instruction.  Mid-block exceptions are safe: ``run()``
-never exposes its register list, so deferred write-back is unobservable,
-and error messages/order are unchanged because instructions execute in
-program order inside the block.  The per-instruction table remains the
-execution vehicle near the step limit, where the reference machine's
-per-instruction limit check must be replicated exactly.
+Mid-block exceptions are safe: the run loop never exposes its register
+list, so deferred write-back is unobservable, and instructions execute
+in program order inside a block, so error sites, messages and ordering
+match the reference.
 
-Unchecked translations are cached per ``(program, cost_model)`` in a
+One block loop serves both :meth:`ExecutionEngine.run` and
+:meth:`ExecutionEngine.run_batch`.  At every block entry it checks the
+step limit and charges the whole block against the optional cycle
+budget.  The one block that would cross the step limit is not run
+compiled: the loop hands its entry state to the reference machine
+(:meth:`Machine.resume`, same hooks), so behaviour at the limit is the
+reference's by construction.
+
+Unchecked compilations are cached per ``(program, cost_model)`` in a
 module-level code cache: the perf harness compiles each filter once and
-reuses the closure table across all 200,000 packets.  Checked
-translations capture per-run predicates and are rebuilt per engine.
+reuses the blocks across all 200,000 packets.  Checked compilations
+capture per-run hooks and are rebuilt per engine.
 
 The engine is *bit-identical* to the reference machine — same
 ``MachineResult`` fields, same error types and messages, same
@@ -75,54 +70,49 @@ from repro.alpha.isa import (
     Program,
     Ret,
     Stq,
+    block_partition,
+    branch_target,
 )
-from repro.alpha.machine import MachineResult, Memory, WORD_MASK, _sext16
+from repro.alpha.machine import (
+    WORD_MASK,
+    CheckHook,
+    Machine,
+    MachineResult,
+    Memory,
+    _sext16,
+)
 from repro.errors import BudgetExceeded, MachineError
-
-_SIGN_BIT = 1 << 63
-
-#: A translated instruction: ``(regs, memory) -> next_pc``; a negative
-#: next_pc means RET (the result is in ``regs[0]``).
-Op = Callable[[list, Memory], int]
-
-#: Safety-check hook, as in :meth:`Machine._check_read`: called with
-#: ``(address, pc)``, raises to block execution.
-CheckHook = Callable[[int, int], None]
 
 _RET = -1
 
 
 class CompiledCode(NamedTuple):
-    """Both decode layers for one program.
+    """One program's block functions and their decode-time charges.
 
-    ``ops``/``costs`` are the per-instruction closure table (plus trap
-    slots appended past the program for invalid branch targets).
-    ``blocks``/``block_len``/``block_cost`` are the basic-block layer:
-    indexed by pc, populated only at block leaders and trap slots — the
-    only pcs control flow can ever reach from outside a block.
+    Indexed by pc and populated only at block leaders and at the trap
+    slots appended past the program for targets that leave it — the only
+    pcs control flow can reach from outside a block.
     """
 
-    ops: list
-    costs: list
     blocks: list
     block_len: list
     block_cost: list
 
 
 # ---------------------------------------------------------------------------
-# The program code cache (unchecked translations only).
+# The program code cache (unchecked compilations only).
 
 _CODE_CACHE: dict = {}
 _CODE_CACHE_LIMIT = 512
 
 
 def code_cache_size() -> int:
-    """Number of cached translations (introspection for tests)."""
+    """Number of cached compilations (introspection for tests)."""
     return len(_CODE_CACHE)
 
 
 def clear_code_cache() -> None:
-    """Drop every cached translation."""
+    """Drop every cached compilation."""
     _CODE_CACHE.clear()
 
 
@@ -130,9 +120,9 @@ def compile_program(program: Program, cost_model=None,
                     check_read: CheckHook | None = None,
                     check_write: CheckHook | None = None,
                     ) -> CompiledCode:
-    """Translate ``program`` into threaded code (:class:`CompiledCode`).
+    """Compile ``program`` into block functions (:class:`CompiledCode`).
 
-    Unchecked translations are cached; checked ones capture the hook
+    Unchecked compilations are cached; checked ones capture the hook
     closures and are always rebuilt (the hooks embed per-run state).
     """
     if check_read is None and check_write is None:
@@ -140,34 +130,24 @@ def compile_program(program: Program, cost_model=None,
         try:
             cached = _CODE_CACHE.get(key)
         except TypeError:           # unhashable custom cost model
-            return _compile(program, cost_model, None, None)
+            return _compile_blocks(program, cost_model, None, None)
         if cached is not None:
             return cached
-        compiled = _compile(program, cost_model, None, None)
+        compiled = _compile_blocks(program, cost_model, None, None)
         if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
             _CODE_CACHE.clear()
         _CODE_CACHE[key] = compiled
         return compiled
-    return _compile(program, cost_model, check_read, check_write)
-
-
-def _compile(program: Program, cost_model,
-             check_read: CheckHook | None,
-             check_write: CheckHook | None) -> CompiledCode:
-    ops, costs, traps = _translate(program, cost_model,
-                                   check_read, check_write)
-    blocks, block_len, block_cost = _compile_blocks(
-        program, ops, costs, traps, check_read, check_write)
-    return CompiledCode(ops, costs, blocks, block_len, block_cost)
+    return _compile_blocks(program, cost_model, check_read, check_write)
 
 
 class ExecutionEngine:
-    """Runs one translated program; reusable across memories and runs.
+    """Runs one compiled program; reusable across memories and runs.
 
-    The constructor pays the (cached) translation cost; :meth:`run` is
-    the per-packet hot path.  ``check_read``/``check_write`` follow the
-    :meth:`Machine._check_read` contract and turn this into the abstract
-    machine of Figure 3.
+    The constructor pays the (cached) compilation cost; :meth:`run` and
+    :meth:`run_batch` are the per-packet hot paths.  ``check_read`` and
+    ``check_write`` follow the :class:`Machine` hook contract and turn
+    this into the abstract machine of Figure 3.
     """
 
     def __init__(self, program: Program, cost_model=None,
@@ -177,90 +157,28 @@ class ExecutionEngine:
         self.program = program
         self.cost_model = cost_model
         self.max_steps = max_steps
+        self._check_read = check_read
+        self._check_write = check_write
         self._code = compile_program(
             program, cost_model, check_read, check_write)
-        self._ops = self._code.ops
-        self._costs = self._code.costs
 
-    def run(self, memory: Memory,
-            registers: dict[int, int] | None = None) -> MachineResult:
-        """Execute once against ``memory``; registers start zeroed."""
-        regs = [0] * NUM_REGS
-        if registers:
-            for index, value in registers.items():
-                regs[index] = value & WORD_MASK
-        code = self._code
-        blocks = code.blocks
-        block_len = code.block_len
-        block_cost = code.block_cost
-        max_steps = self.max_steps
-        pc = 0
-        steps = 0
-        cycles = 0
-        # Blocks are entered only at leaders, so a block's step and cycle
-        # charges are decode-time constants.  The step-limit check guards
-        # every block entry; a block that would cross the limit runs
-        # per-instruction instead, reproducing the reference machine's
-        # check ordering exactly (a block never crosses the limit
-        # silently, and errors raised before the limit still win).
-        while True:
-            if steps >= max_steps:
-                raise MachineError(
-                    f"exceeded {max_steps} steps (runaway program?)")
-            length = block_len[pc]
-            if steps + length > max_steps:
-                return self._run_stepwise(regs, memory, pc, steps, cycles)
-            cycles += block_cost[pc]
-            steps += length
-            pc = blocks[pc](regs, memory)
-            if pc < 0:
-                return MachineResult(regs[0], steps, cycles)
+    def run(self, memory: Memory, registers: dict[int, int] | None = None,
+            cycle_budget: int | None = None) -> MachineResult:
+        """Execute once against ``memory``; registers start zeroed.
 
-    def run_budgeted(self, memory: Memory,
-                     registers: dict[int, int] | None = None,
-                     cycle_budget: int = 1_000_000) -> MachineResult:
-        """Like :meth:`run`, but raise :class:`BudgetExceeded` as soon as
-        the modeled cycle clock passes ``cycle_budget``.
-
-        The check runs at block granularity (one comparison per block, so
-        the fast path stays fast); an invocation that completes within
-        budget returns a result bit-identical to :meth:`run`.  Overruns
-        are detected when a block's decode-time cycle charge pushes the
-        clock past the budget — before the block executes, so a runaway
-        loop is cut off within one block of the budget line.  The
-        step-limit backstop still applies, for cost models that charge
-        zero cycles.
+        With ``cycle_budget`` set, raise :class:`BudgetExceeded` as soon
+        as the modeled clock passes it.  The check runs at block entry,
+        after charging the whole block and before running it, so a
+        runaway loop is cut off within one block of the budget line and
+        an invocation that completes within budget returns exactly what
+        an unbudgeted run returns.  The step limit still applies, for
+        cost models that charge zero cycles.
         """
         regs = [0] * NUM_REGS
         if registers:
             for index, value in registers.items():
                 regs[index] = value & WORD_MASK
-        code = self._code
-        blocks = code.blocks
-        block_len = code.block_len
-        block_cost = code.block_cost
-        max_steps = self.max_steps
-        pc = 0
-        steps = 0
-        cycles = 0
-        while True:
-            if steps >= max_steps:
-                raise MachineError(
-                    f"exceeded {max_steps} steps (runaway program?)")
-            length = block_len[pc]
-            if steps + length > max_steps:
-                return self._run_stepwise(regs, memory, pc, steps, cycles,
-                                          cycle_budget)
-            cycles += block_cost[pc]
-            if cycles > cycle_budget:
-                raise BudgetExceeded(
-                    f"exceeded cycle budget {cycle_budget} "
-                    f"({cycles} cycles after {steps} steps)",
-                    budget=cycle_budget, cycles=cycles, steps=steps)
-            steps += length
-            pc = blocks[pc](regs, memory)
-            if pc < 0:
-                return MachineResult(regs[0], steps, cycles)
+        return self._execute(regs, memory, cycle_budget)
 
     def run_batch(self, memory: Memory, rebind, frames: list,
                   registers_fn, start: int = 0,
@@ -273,10 +191,8 @@ class ExecutionEngine:
         :func:`~repro.filters.policy.filter_registers` contracts: before
         each invocation the packet region is rebound to the frame bytes
         and a fresh entry-register dict is built from the frame length.
-        Each invocation is bit-identical to :meth:`run` (or
-        :meth:`run_budgeted` when ``cycle_budget`` is set) on a freshly
-        rebound memory — the block loop below is the same loop with the
-        same check ordering, merely hoisted inside the frame loop.
+        Each invocation is :meth:`run` with ``cycle_budget`` on a freshly
+        rebound memory — the same block loop, entered once per frame.
 
         Returns ``(next_index, accepted, hist_pairs, error)``:
         ``next_index`` is one past the last frame *executed* (equal to
@@ -288,11 +204,7 @@ class ExecutionEngine:
         ``next_index + 1`` after accounting the fault, which reproduces
         the serial per-frame dispatch protocol exactly.
         """
-        code = self._code
-        blocks = code.blocks
-        block_len = code.block_len
-        block_cost = code.block_cost
-        max_steps = self.max_steps
+        execute = self._execute
         accepted = 0
         hist: dict[int, int] = {}
         index = start
@@ -303,396 +215,59 @@ class ExecutionEngine:
                 regs = [0] * NUM_REGS
                 for reg_index, value in registers_fn(len(frame)).items():
                     regs[reg_index] = value & WORD_MASK
-                pc = 0
-                steps = 0
-                cycles = 0
-                while True:
-                    if steps >= max_steps:
-                        raise MachineError(
-                            f"exceeded {max_steps} steps "
-                            f"(runaway program?)")
-                    length = block_len[pc]
-                    if steps + length > max_steps:
-                        result = self._run_stepwise(
-                            regs, memory, pc, steps, cycles, cycle_budget)
-                        break
-                    cycles += block_cost[pc]
-                    if (cycle_budget is not None
-                            and cycles > cycle_budget):
-                        raise BudgetExceeded(
-                            f"exceeded cycle budget {cycle_budget} "
-                            f"({cycles} cycles after {steps} steps)",
-                            budget=cycle_budget, cycles=cycles,
-                            steps=steps)
-                    steps += length
-                    pc = blocks[pc](regs, memory)
-                    if pc < 0:
-                        result = MachineResult(regs[0], steps, cycles)
-                        break
+                result = execute(regs, memory, cycle_budget)
                 accepted += 1 if result.value else 0
                 hist[result.cycles] = hist.get(result.cycles, 0) + 1
         except MachineError as error:
             return index, accepted, list(hist.items()), error
         return len(frames), accepted, list(hist.items()), None
 
-    def run_budgeted_batch(self, memory: Memory, rebind, frames: list,
-                           registers_fn, start: int = 0,
-                           cycle_budget: int = 1_000_000):
-        """Budgeted spelling of :meth:`run_batch` (same return shape)."""
-        return self.run_batch(memory, rebind, frames, registers_fn,
-                              start, cycle_budget)
-
-    def _run_stepwise(self, regs: list, memory: Memory, pc: int,
-                      steps: int, cycles: int,
-                      cycle_budget: int | None = None) -> MachineResult:
-        """Per-instruction execution for the last block before the step
-        limit; at most ``max_steps - steps`` instructions run here."""
-        ops = self._ops
-        costs = self._costs
+    def _execute(self, regs: list, memory: Memory,
+                 cycle_budget: int | None) -> MachineResult:
+        """The block loop: run from pc 0 on ``regs`` until RET."""
+        blocks, block_len, block_cost = self._code
         max_steps = self.max_steps
+        pc = steps = cycles = 0
         while True:
             if steps >= max_steps:
                 raise MachineError(
                     f"exceeded {max_steps} steps (runaway program?)")
-            cycles += costs[pc]
+            cycles += block_cost[pc]
             if cycle_budget is not None and cycles > cycle_budget:
                 raise BudgetExceeded(
                     f"exceeded cycle budget {cycle_budget} "
                     f"({cycles} cycles after {steps} steps)",
                     budget=cycle_budget, cycles=cycles, steps=steps)
-            steps += 1
-            pc = ops[pc](regs, memory)
+            length = block_len[pc]
+            if steps + length > max_steps:
+                break
+            steps += length
+            pc = blocks[pc](regs, memory)
             if pc < 0:
                 return MachineResult(regs[0], steps, cycles)
-
-
-def run_program(program: Program, memory: Memory,
-                registers: dict[int, int] | None = None,
-                cost_model=None, max_steps: int = 1_000_000) -> MachineResult:
-    """One-shot convenience wrapper over :class:`ExecutionEngine`."""
-    return ExecutionEngine(program, cost_model, max_steps).run(
-        memory, registers)
-
-
-# ---------------------------------------------------------------------------
-# Translation.
-
-def _translate(program: Program, cost_model,
-               check_read: CheckHook | None,
-               check_write: CheckHook | None,
-               ) -> tuple[list[Op], list[int], dict[int, int]]:
-    size = len(program)
-    ops: list[Op] = [None] * size  # type: ignore[list-item]
-    costs: list[int] = [0] * size
-    traps: dict[int, int] = {}     # bad target pc -> trap slot
-
-    def resolve(target: int) -> int:
-        """A successor pc, or a trap slot raising the reference error."""
-        if 0 <= target < size:
-            return target
-        slot = traps.get(target)
-        if slot is None:
-            slot = len(ops)
-            ops.append(_make_pc_trap(target))
-            costs.append(0)
-            traps[target] = slot
-        return slot
-
-    if size == 0:
-        # The reference machine rejects pc=0 before fetching anything.
-        return [_make_pc_trap(0)], [0], {0: 0}
-
-    for pc, instruction in enumerate(program):
-        costs[pc] = cost_model.cycles(instruction) if cost_model else 1
-        nxt = resolve(pc + 1)
-        if isinstance(instruction, Operate):
-            ops[pc] = _make_operate(instruction, nxt)
-        elif isinstance(instruction, Ldq):
-            ops[pc] = _make_ldq(instruction, nxt, pc, check_read)
-        elif isinstance(instruction, Stq):
-            ops[pc] = _make_stq(instruction, nxt, pc, check_write)
-        elif isinstance(instruction, Lda):
-            ops[pc] = _make_lda(instruction, nxt)
-        elif isinstance(instruction, Ldah):
-            ops[pc] = _make_ldah(instruction, nxt)
-        elif isinstance(instruction, Branch):
-            ops[pc] = _make_branch(instruction,
-                                   resolve(pc + 1 + instruction.offset), nxt)
-        elif isinstance(instruction, Br):
-            target = resolve(pc + 1 + instruction.offset)
-            ops[pc] = _make_br(target)
-        elif isinstance(instruction, Ret):
-            ops[pc] = _ret_op
-        else:  # pragma: no cover - exhaustive over Instruction
-            ops[pc] = _make_execute_trap(instruction)
-    return ops, costs, traps
-
-
-def _ret_op(regs: list, memory: Memory) -> int:
-    return _RET
-
-
-def _make_pc_trap(target: int) -> Op:
-    def op(regs: list, memory: Memory) -> int:
-        raise MachineError(f"pc {target} outside program")
-    return op
-
-
-def _make_execute_trap(instruction: Instruction) -> Op:  # pragma: no cover
-    def op(regs: list, memory: Memory) -> int:
-        raise MachineError(f"cannot execute {instruction!r}")
-    return op
-
-
-def _make_operate(instruction: Operate, nxt: int) -> Op:
-    """Specialize one ALU instruction; literals are folded at decode."""
-    name = instruction.name
-    a = instruction.ra.index
-    c = instruction.rc.index
-    if isinstance(instruction.rb, Lit):
-        k = instruction.rb.value
-        if name == "ADDQ":
-            def op(regs, memory):
-                regs[c] = (regs[a] + k) & WORD_MASK
-                return nxt
-        elif name == "SUBQ":
-            def op(regs, memory):
-                regs[c] = (regs[a] - k) & WORD_MASK
-                return nxt
-        elif name == "MULQ":
-            def op(regs, memory):
-                regs[c] = (regs[a] * k) & WORD_MASK
-                return nxt
-        elif name == "AND":
-            def op(regs, memory):
-                regs[c] = regs[a] & k
-                return nxt
-        elif name == "BIS":
-            def op(regs, memory):
-                regs[c] = regs[a] | k
-                return nxt
-        elif name == "XOR":
-            def op(regs, memory):
-                regs[c] = regs[a] ^ k
-                return nxt
-        elif name == "SLL":
-            shift = k & 63
-
-            def op(regs, memory):
-                regs[c] = (regs[a] << shift) & WORD_MASK
-                return nxt
-        elif name == "SRL":
-            shift = k & 63
-
-            def op(regs, memory):
-                regs[c] = regs[a] >> shift
-                return nxt
-        elif name == "CMPEQ":
-            def op(regs, memory):
-                regs[c] = 1 if regs[a] == k else 0
-                return nxt
-        elif name == "CMPULT":
-            def op(regs, memory):
-                regs[c] = 1 if regs[a] < k else 0
-                return nxt
-        elif name == "CMPULE":
-            def op(regs, memory):
-                regs[c] = 1 if regs[a] <= k else 0
-                return nxt
-        elif name == "EXTBL":
-            shift = 8 * (k & 7)
-
-            def op(regs, memory):
-                regs[c] = (regs[a] >> shift) & 0xFF
-                return nxt
-        elif name == "EXTWL":
-            shift = 8 * (k & 7)
-
-            def op(regs, memory):
-                regs[c] = (regs[a] >> shift) & 0xFFFF
-                return nxt
-        elif name == "EXTLL":
-            shift = 8 * (k & 7)
-
-            def op(regs, memory):
-                regs[c] = (regs[a] >> shift) & 0xFFFFFFFF
-                return nxt
-        else:  # pragma: no cover - Operate.__post_init__ rejects these
-            raise MachineError(f"unknown operate {name!r}")
-        return op
-
-    b = instruction.rb.index
-    if name == "ADDQ":
-        def op(regs, memory):
-            regs[c] = (regs[a] + regs[b]) & WORD_MASK
-            return nxt
-    elif name == "SUBQ":
-        def op(regs, memory):
-            regs[c] = (regs[a] - regs[b]) & WORD_MASK
-            return nxt
-    elif name == "MULQ":
-        def op(regs, memory):
-            regs[c] = (regs[a] * regs[b]) & WORD_MASK
-            return nxt
-    elif name == "AND":
-        def op(regs, memory):
-            regs[c] = regs[a] & regs[b]
-            return nxt
-    elif name == "BIS":
-        def op(regs, memory):
-            regs[c] = regs[a] | regs[b]
-            return nxt
-    elif name == "XOR":
-        def op(regs, memory):
-            regs[c] = regs[a] ^ regs[b]
-            return nxt
-    elif name == "SLL":
-        def op(regs, memory):
-            regs[c] = (regs[a] << (regs[b] & 63)) & WORD_MASK
-            return nxt
-    elif name == "SRL":
-        def op(regs, memory):
-            regs[c] = regs[a] >> (regs[b] & 63)
-            return nxt
-    elif name == "CMPEQ":
-        def op(regs, memory):
-            regs[c] = 1 if regs[a] == regs[b] else 0
-            return nxt
-    elif name == "CMPULT":
-        def op(regs, memory):
-            regs[c] = 1 if regs[a] < regs[b] else 0
-            return nxt
-    elif name == "CMPULE":
-        def op(regs, memory):
-            regs[c] = 1 if regs[a] <= regs[b] else 0
-            return nxt
-    elif name == "EXTBL":
-        def op(regs, memory):
-            regs[c] = (regs[a] >> (8 * (regs[b] & 7))) & 0xFF
-            return nxt
-    elif name == "EXTWL":
-        def op(regs, memory):
-            regs[c] = (regs[a] >> (8 * (regs[b] & 7))) & 0xFFFF
-            return nxt
-    elif name == "EXTLL":
-        def op(regs, memory):
-            regs[c] = (regs[a] >> (8 * (regs[b] & 7))) & 0xFFFFFFFF
-            return nxt
-    else:  # pragma: no cover - Operate.__post_init__ rejects these
-        raise MachineError(f"unknown operate {name!r}")
-    return op
-
-
-def _make_ldq(instruction: Ldq, nxt: int, pc: int,
-              check_read: CheckHook | None) -> Op:
-    d = instruction.rd.index
-    s = instruction.rs.index
-    disp = _sext16(instruction.disp)
-    if check_read is None:
-        def op(regs, memory):
-            regs[d] = memory.load_quad((regs[s] + disp) & WORD_MASK)
-            return nxt
-    else:
-        def op(regs, memory):
-            address = (regs[s] + disp) & WORD_MASK
-            check_read(address, pc)
-            regs[d] = memory.load_quad(address)
-            return nxt
-    return op
-
-
-def _make_stq(instruction: Stq, nxt: int, pc: int,
-              check_write: CheckHook | None) -> Op:
-    s = instruction.rs.index
-    d = instruction.rd.index
-    disp = _sext16(instruction.disp)
-    if check_write is None:
-        def op(regs, memory):
-            memory.store_quad((regs[d] + disp) & WORD_MASK, regs[s])
-            return nxt
-    else:
-        def op(regs, memory):
-            address = (regs[d] + disp) & WORD_MASK
-            check_write(address, pc)
-            memory.store_quad(address, regs[s])
-            return nxt
-    return op
-
-
-def _make_lda(instruction: Lda, nxt: int) -> Op:
-    d = instruction.rd.index
-    s = instruction.rs.index
-    disp = _sext16(instruction.disp)
-
-    def op(regs, memory):
-        regs[d] = (regs[s] + disp) & WORD_MASK
-        return nxt
-    return op
-
-
-def _make_ldah(instruction: Ldah, nxt: int) -> Op:
-    d = instruction.rd.index
-    s = instruction.rs.index
-    disp = _sext16(instruction.disp) << 16
-
-    def op(regs, memory):
-        regs[d] = (regs[s] + disp) & WORD_MASK
-        return nxt
-    return op
-
-
-def _make_br(target: int) -> Op:
-    def op(regs, memory):
-        return target
-    return op
-
-
-def _make_branch(instruction: Branch, taken: int, fallthrough: int) -> Op:
-    """Branch predicates on the unsigned register image: a value is
-    signed-negative exactly when it is >= 2^63."""
-    name = instruction.name
-    s = instruction.rs.index
-    if name == "BEQ":
-        def op(regs, memory):
-            return taken if regs[s] == 0 else fallthrough
-    elif name == "BNE":
-        def op(regs, memory):
-            return taken if regs[s] != 0 else fallthrough
-    elif name == "BGE":
-        def op(regs, memory):
-            return taken if regs[s] < _SIGN_BIT else fallthrough
-    elif name == "BLT":
-        def op(regs, memory):
-            return taken if regs[s] >= _SIGN_BIT else fallthrough
-    elif name == "BGT":
-        def op(regs, memory):
-            return taken if 0 < regs[s] < _SIGN_BIT else fallthrough
-    elif name == "BLE":
-        def op(regs, memory):
-            value = regs[s]
-            return taken if value >= _SIGN_BIT or value == 0 else fallthrough
-    else:  # pragma: no cover - Branch.__post_init__ rejects these
-        raise MachineError(f"unknown branch {name!r}")
-    return op
+        # This block would cross the step limit: having charged it whole
+        # against the budget like every other, step it on the reference
+        # machine from its entry state (trap slots have length 0, so pc
+        # is a real leader here).
+        machine = Machine(self.program, memory, dict(enumerate(regs)),
+                          self.cost_model, max_steps,
+                          check_read=self._check_read,
+                          check_write=self._check_write)
+        return machine.resume(pc, steps, cycles - block_cost[pc])
 
 
 # ---------------------------------------------------------------------------
-# Basic-block superinstructions.
+# Block compilation.
 #
-# Every pc reachable from *outside* a block is a leader: pc 0, every
-# branch target, and the fall-through successor of every conditional
-# branch.  A block runs from a leader to the next control transfer (or
-# the next leader, or the end of the program).  Each block compiles to
-# one exec-generated function in which registers live in locals; the
-# register file is written back only at the block exit, which is sound
-# because ``run()`` never exposes its register list — a mid-block
-# exception discards it.  Instructions execute in program order inside
-# the block, so error sites, messages and ordering match the reference.
+# Each block compiles to one exec-generated function in which registers
+# live in locals; the register file is written back only at the block
+# exit, which is sound because the run loop never exposes its register
+# list — a mid-block exception discards it.  Instructions execute in
+# program order inside the block, so error sites, messages and ordering
+# match the reference.
 
 _M = str(WORD_MASK)
-_S = str(_SIGN_BIT)
-
-_KNOWN_INSTRUCTIONS = (Operate, Ldq, Stq, Lda, Ldah, Branch, Br, Ret)
+_S = str(1 << 63)
 
 _BRANCH_CONDITIONS = {
     "BEQ": "{s} == 0",
@@ -843,98 +418,72 @@ def _emit_straightline(asm: _BlockAssembler, instruction: Instruction,
                                  _sext16(instruction.disp) << 16))
 
 
-def _block_source(program: Program, leader: int, leaders: set[int],
-                  traps: dict[int, int], checked_read: bool,
-                  checked_write: bool) -> tuple[str, int]:
-    """The body of one block function and its instruction count."""
-    size = len(program)
+def _block_source(program: Program, start: int, end: int,
+                  resolve: Callable[[int], int], checked_read: bool,
+                  checked_write: bool) -> str:
+    """The body of the function for the block at pcs ``start..end-1``."""
     asm = _BlockAssembler()
-    pc = leader
-    while True:
-        instruction = program[pc]
-        if isinstance(instruction, Branch):
-            target = pc + 1 + instruction.offset
-            taken = target if 0 <= target < size else traps[target]
-            fall = pc + 1 if pc + 1 < size else traps[size]
-            condition = _BRANCH_CONDITIONS[instruction.name].format(
-                s=asm.use(instruction.rs.index))
-            asm.flush()
-            asm.line(f"return {taken} if {condition} else {fall}")
-            return asm.render(), pc + 1 - leader
-        if isinstance(instruction, Br):
-            target = pc + 1 + instruction.offset
-            resolved = target if 0 <= target < size else traps[target]
-            asm.flush()
-            asm.line(f"return {resolved}")
-            return asm.render(), pc + 1 - leader
-        if isinstance(instruction, Ret):
-            asm.flush()
-            asm.line(f"return {_RET}")
-            return asm.render(), pc + 1 - leader
-        _emit_straightline(asm, instruction, pc, checked_read, checked_write)
-        pc += 1
-        if pc >= size:
-            # Fall off the end: the trap slot raises the reference error
-            # after the run loop's step-limit check, as the machine does.
-            asm.flush()
-            asm.line(f"return {traps[size]}")
-            return asm.render(), pc - leader
-        if pc in leaders:
-            asm.flush()
-            asm.line(f"return {pc}")
-            return asm.render(), pc - leader
+    last_pc = end - 1
+    last = program[last_pc]
+    transfers = isinstance(last, (Branch, Br, Ret))
+    for pc in range(start, last_pc if transfers else end):
+        _emit_straightline(asm, program[pc], pc, checked_read, checked_write)
+    if isinstance(last, Branch):
+        condition = _BRANCH_CONDITIONS[last.name].format(
+            s=asm.use(last.rs.index))
+        successor = (f"{resolve(branch_target(last_pc, last))} "
+                     f"if {condition} else {resolve(end)}")
+    elif isinstance(last, Br):
+        successor = resolve(branch_target(last_pc, last))
+    elif isinstance(last, Ret):
+        successor = _RET
+    else:
+        # Falls into the next leader, or off the end of the program onto
+        # a trap slot, which the run loop enters after its step check as
+        # the reference machine does.
+        successor = resolve(end)
+    asm.flush()
+    asm.line(f"return {successor}")
+    return asm.render()
 
 
-def _compile_blocks(program: Program, ops: list[Op], costs: list[int],
-                    traps: dict[int, int],
+def _compile_blocks(program: Program, cost_model,
                     check_read: CheckHook | None,
-                    check_write: CheckHook | None,
-                    ) -> tuple[list, list[int], list[int]]:
+                    check_write: CheckHook | None) -> CompiledCode:
     size = len(program)
-    blocks: list = [None] * len(ops)
-    block_len = [0] * len(ops)
-    block_cost = [0] * len(ops)
-    # Trap slots become zero-length "blocks": the run loop's step check
-    # still runs first, then the trap raises — the reference's ordering.
-    for slot in traps.values():
-        blocks[slot] = ops[slot]
-    if size == 0:
-        return blocks, block_len, block_cost
+    costs = [cost_model.cycles(instruction) if cost_model is not None else 1
+             for instruction in program]
+    traps: dict[int, int] = {}     # target outside the program -> slot
 
-    leaders = {0}
-    for pc, instruction in enumerate(program):
-        if isinstance(instruction, Branch):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
-            if pc + 1 < size:
-                leaders.add(pc + 1)
-        elif isinstance(instruction, Br):
-            target = pc + 1 + instruction.offset
-            if 0 <= target < size:
-                leaders.add(target)
-        elif not isinstance(instruction, _KNOWN_INSTRUCTIONS):
-            leaders.add(pc)  # pragma: no cover - Instruction is closed
+    def resolve(target: int) -> int:
+        """A successor pc, or the trap slot raising the reference error."""
+        if 0 <= target < size:
+            return target
+        return traps.setdefault(target, size + len(traps))
 
-    sources = []
-    for leader in sorted(leaders):
-        if not isinstance(program[leader], _KNOWN_INSTRUCTIONS):
-            # pragma: no cover - degenerate block over the raising closure
-            blocks[leader] = ops[leader]
-            block_len[leader] = 1
-            block_cost[leader] = costs[leader]
-            continue
-        body, length = _block_source(program, leader, leaders, traps,
-                                     check_read is not None,
-                                     check_write is not None)
-        sources.append((leader, body))
-        block_len[leader] = length
-        block_cost[leader] = sum(costs[leader:leader + length])
+    resolve(0)                     # the empty program faults at entry
+    partition = block_partition(program)
+    sources = [f"def _b{start}(regs, memory):\n"
+               + _block_source(program, start, end, resolve,
+                               check_read is not None,
+                               check_write is not None)
+               for start, end in partition]
+    # Trap slots are zero-length blocks: the run loop's step check runs
+    # first, then the trap raises — the reference's ordering.
+    sources += [f"def _b{slot}(regs, memory): "
+                f"raise MachineError('pc {target} outside program')"
+                for target, slot in traps.items()]
+    namespace = {"check_read": check_read, "check_write": check_write,
+                 "MachineError": MachineError}
+    exec(compile("\n".join(sources), "<alpha-blocks>", "exec"), namespace)
 
-    namespace = {"check_read": check_read, "check_write": check_write}
-    source = "\n".join(f"def _b{leader}(regs, memory):\n{body}"
-                       for leader, body in sources)
-    exec(compile(source, "<alpha-blocks>", "exec"), namespace)
-    for leader, _ in sources:
-        blocks[leader] = namespace[f"_b{leader}"]
-    return blocks, block_len, block_cost
+    total = size + len(traps)
+    blocks: list = [None] * total
+    block_len = [0] * total
+    block_cost = [0] * total
+    for start, end in partition:
+        block_len[start] = end - start
+        block_cost[start] = sum(costs[start:end])
+    for pc in [start for start, _ in partition] + list(traps.values()):
+        blocks[pc] = namespace[f"_b{pc}"]
+    return CompiledCode(blocks, block_len, block_cost)

@@ -234,6 +234,33 @@ def branch_target(pc: int, instruction: Branch | Br) -> int:
     return pc + 1 + instruction.offset
 
 
+def block_partition(program: Program) -> list[tuple[int, int]]:
+    """The basic blocks of ``program`` as ``(start, end)`` pc ranges in
+    pc order, ``end`` exclusive.
+
+    Leaders are pc 0, every in-range branch target, and the pc after
+    every control transfer; each block runs up to the next leader, so a
+    control transfer can only end a block.  Out-of-range targets are not
+    leaders: the machines fault there.  The execution engine, the batch
+    drivers and the static analyzer's CFG all use this one partition, so
+    the block-entry cycle charges they see — and the budgets derived
+    from them — agree.
+    """
+    size = len(program)
+    if size == 0:
+        return []
+    leaders = {0}
+    for pc, instruction in enumerate(program):
+        if isinstance(instruction, (Branch, Br)):
+            target = branch_target(pc, instruction)
+            if 0 <= target < size:
+                leaders.add(target)
+        if isinstance(instruction, (Branch, Br, Ret)) and pc + 1 < size:
+            leaders.add(pc + 1)
+    starts = sorted(leaders)
+    return list(zip(starts, starts[1:] + [size]))
+
+
 def written_register(instruction: Instruction) -> int | None:
     """Index of the register written by ``instruction``, if any."""
     if isinstance(instruction, Operate):

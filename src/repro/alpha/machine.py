@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.alpha.isa import (
     NUM_REGS,
@@ -38,6 +39,10 @@ from repro.errors import MachineError
 
 WORD_MASK = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
+
+#: A safety-check hook: called with ``(address, pc)`` before a memory
+#: access, raises to block execution.
+CheckHook = Callable[[int, int], None]
 
 _unpack_from = struct.unpack_from
 _pack_into = struct.pack_into
@@ -179,13 +184,17 @@ class Machine:
 
     ``cost_model`` maps an instruction to its cycle cost; the default
     charges one cycle per instruction (see :mod:`repro.perf.cost` for the
-    calibrated model used in the benchmarks).
+    calibrated model used in the benchmarks).  ``check_read`` and
+    ``check_write``, when given, run before every LDQ and STQ with the
+    effective address and pc; the abstract machine passes the paper's
+    rd()/wr() checks here, the concrete machine goes straight to hardware.
     """
 
     def __init__(self, program: Program, memory: Memory,
                  registers: dict[int, int] | None = None,
                  cost_model=None, max_steps: int = 1_000_000,
-                 trace_hook=None) -> None:
+                 trace_hook=None, check_read: CheckHook | None = None,
+                 check_write: CheckHook | None = None) -> None:
         self.program = program
         self.memory = memory
         self.regs = [0] * NUM_REGS
@@ -198,29 +207,32 @@ class Machine:
         #: snapshot of the register file — the differential soundness
         #: suite checks every traced state against the static analyzer's
         #: intervals.  The concrete machine is the slow reference path,
-        #: so the per-step None check is acceptable here (the threaded
+        #: so the per-step None check is acceptable here (the block
         #: engine, the hot path, has no such hook).
         self.trace_hook = trace_hook
-
-    # The abstract machine overrides these two hooks to insert the paper's
-    # safety checks; the concrete machine goes straight to hardware.
-    def _check_read(self, address: int, pc: int) -> None:
-        pass
-
-    def _check_write(self, address: int, pc: int) -> None:
-        pass
+        self.check_read = check_read
+        self.check_write = check_write
 
     def run(self) -> MachineResult:
         """Run until RET; returns r0 and the execution counts."""
+        return self.resume(0, 0, 0)
+
+    def resume(self, pc: int, steps: int, cycles: int) -> MachineResult:
+        """Continue from ``pc`` with ``steps`` instructions and ``cycles``
+        cycles already counted, on the current registers, until RET.
+
+        The execution engine enters here for the one block that would
+        cross the step limit, so behaviour at the limit is this
+        machine's by construction.
+        """
         program = self.program
         regs = self.regs
         memory = self.memory
         size = len(program)
-        pc = 0
-        steps = 0
-        cycles = 0
         cost = self.cost_model
         trace = self.trace_hook
+        check_read = self.check_read
+        check_write = self.check_write
         while True:
             if steps >= self.max_steps:
                 raise MachineError(
@@ -244,13 +256,15 @@ class Machine:
             elif isinstance(instruction, Ldq):
                 address = (regs[instruction.rs.index]
                            + _sext16(instruction.disp)) & WORD_MASK
-                self._check_read(address, pc)
+                if check_read is not None:
+                    check_read(address, pc)
                 regs[instruction.rd.index] = memory.load_quad(address)
                 pc += 1
             elif isinstance(instruction, Stq):
                 address = (regs[instruction.rd.index]
                            + _sext16(instruction.disp)) & WORD_MASK
-                self._check_write(address, pc)
+                if check_write is not None:
+                    check_write(address, pc)
                 memory.store_quad(address, regs[instruction.rs.index])
                 pc += 1
             elif isinstance(instruction, Lda):

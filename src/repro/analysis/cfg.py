@@ -8,13 +8,15 @@ program: malformed control flow (branches out of the code region,
 fall-through past the last instruction) is recorded as explicit fault
 exits so that the downstream passes (intervals, WCET, lint) can reason
 about exactly what the hardware would do — the concrete machine raises
-:class:`~repro.errors.MachineError` at those points, and the threaded
+:class:`~repro.errors.MachineError` at those points, and the execution
 engine compiles them to trap slots.
 
 Recovery follows the textbook recipe:
 
-* **leaders** — pc 0, every in-range branch target, and every
-  instruction following a control transfer;
+* **blocks** — :func:`repro.alpha.isa.block_partition`, the partition
+  the execution engine and the batch drivers also use (leaders: pc 0,
+  every in-range branch target, and every instruction following a
+  control transfer);
 * **edges** — fall-through plus taken targets; ``RET`` has no
   successors; out-of-range targets become fault exits, not edges;
 * **reachability** — forward DFS from the entry block;
@@ -34,7 +36,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.alpha.isa import Br, Branch, Program, Ret, branch_target
+from repro.alpha.isa import (
+    Br,
+    Branch,
+    Program,
+    Ret,
+    block_partition,
+    branch_target,
+)
 
 
 @dataclass(frozen=True)
@@ -217,27 +226,12 @@ def build_cfg(program: Program) -> ControlFlowGraph:
     """Recover the basic-block CFG of ``program`` (never raises on
     malformed control flow; see the module docstring)."""
     size = len(program)
-    if size == 0:
-        return ControlFlowGraph(program, (), ())
-
-    leaders = {0}
-    for pc, instruction in enumerate(program):
-        if isinstance(instruction, (Branch, Br)):
-            target = branch_target(pc, instruction)
-            if 0 <= target < size:
-                leaders.add(target)
-        if isinstance(instruction, (Branch, Br, Ret)) and pc + 1 < size:
-            leaders.add(pc + 1)
-
-    starts = sorted(leaders)
-    bounds = {start: (starts[rank + 1] if rank + 1 < len(starts) else size)
-              for rank, start in enumerate(starts)}
-    index_of_start = {start: rank for rank, start in enumerate(starts)}
+    partition = block_partition(program)
+    index_of_start = {start: rank for rank, (start, _) in enumerate(partition)}
 
     blocks: list[BasicBlock] = []
     block_of = [0] * size
-    for rank, start in enumerate(starts):
-        end = bounds[start]
+    for rank, (start, end) in enumerate(partition):
         for pc in range(start, end):
             block_of[pc] = rank
         terminator = program[end - 1]

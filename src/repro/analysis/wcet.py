@@ -23,11 +23,12 @@ If round ``k`` proves the back edge infeasible, no execution traverses
 it ``k`` times, so the body runs at most ``k + 1`` times (``trips = k``
 extra passes beyond the one the acyclic path already counts).
 
-Soundness versus the execution engine's accounting: the threaded engine
-(and :meth:`ExecutionEngine.run_budgeted`) charges a whole basic block
-before executing it, so observed cycles on any run — including runs that
-fault mid-block — never exceed the sum of full block costs along the
-executed path, which is exactly what this pass maximises.  Hence a
+Soundness versus the execution engine's accounting: the engine charges
+every basic block whole, against the cycle budget, before executing it
+— over the same :func:`~repro.alpha.isa.block_partition` this CFG uses —
+so observed cycles on any run — including runs that fault mid-block —
+never exceed the sum of full block costs along the executed path, which
+is exactly what this pass maximises.  Hence a
 budget set to the WCET bound can never fire on a run the unbudgeted
 engine would complete: ``cycle_budget="auto"`` is verdict-preserving.
 """

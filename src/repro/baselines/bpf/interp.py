@@ -10,8 +10,7 @@ VM instruction (the fetch/decode/switch work of the OSF/1 C interpreter)
 plus a small extra charge for checked packet loads, making the interpreted
 baseline comparable with code running on the concrete Alpha model.
 
-Execution uses the same threaded-code technique as
-:mod:`repro.alpha.engine`: the program is decoded *once* at construction
+Execution uses threaded code: the program is decoded *once* at construction
 into a flat table of per-instruction closures (offsets, widths, masked
 immediates, and jump targets resolved at decode time).  The *modeled*
 cycle charges are untouched — the VM still pays ``dispatch_cycles`` per

@@ -52,8 +52,10 @@ class SafetyViolation(MachineError):
 class BudgetExceeded(MachineError):
     """An invocation overran its per-packet cycle budget.
 
-    Raised by :meth:`repro.alpha.engine.ExecutionEngine.run_budgeted`
-    when the modeled cycle clock passes the caller's budget.  This is a
+    Raised by :meth:`repro.alpha.engine.ExecutionEngine.run` and
+    :meth:`~repro.alpha.engine.ExecutionEngine.run_batch` (and the
+    compiled batch drivers) when a block-entry charge pushes the modeled
+    cycle clock past the caller's budget.  This is a
     *liveness* policy, not a safety one: a PCC-certified program can
     never violate rd()/wr(), but nothing in the proof bounds how long it
     runs, so the dispatch runtime enforces budgets at retire time.

@@ -65,7 +65,7 @@ class LoadedExtension:
 
     def engine(self, cost_model=None,
                max_steps: int = 1_000_000) -> "ExecutionEngine":
-        """A reusable threaded-code engine over the validated program.
+        """A reusable execution engine over the validated program.
 
         This is the handle the dispatch runtime (:mod:`repro.runtime`)
         keeps per extension: translation is paid once (and shared via

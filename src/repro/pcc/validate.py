@@ -99,7 +99,13 @@ def validate(data: bytes | PccBinary, policy: SafetyPolicy,
                 f"cannot compute safety predicate: {error}") from error
 
         proof_term = unpack_proof(binary.relocation, binary.proof)
-        expected = LfApp(LfConst("pf"), encode_formula(predicate, {}, 0))
+        try:
+            # A hostile invariant can leave variables with no LF binding.
+            expected = LfApp(LfConst("pf"), encode_formula(predicate, {}, 0))
+        except PccError as error:
+            raise ValidationError(
+                f"cannot encode safety predicate: {error}") from error
+
         try:
             check_proof_term(proof_term, expected, SIGNATURE)
         except PccError as error:

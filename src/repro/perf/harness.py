@@ -76,12 +76,12 @@ class FilterBenchmark:
 
 def _run_alpha(spec: FilterSpec, program, trace, memory_factory,
                registers_fn, model: AlphaCostModel) -> ApproachResult:
-    """Run one native program over the trace on the threaded-code engine.
+    """Run one native program over the trace on the execution engine.
 
-    The program is translated once (the engine's code cache makes repeat
+    The program is compiled once (the engine's code cache makes repeat
     benchmarks free) and one kernel-side memory is reused across frames:
     the per-packet work is rebinding the packet region, resetting the
-    registers, and the engine's closure loop.
+    registers, and the engine's block loop.
     """
     oracle = ORACLES[spec.name]
     engine = ExecutionEngine(program, cost_model=model)

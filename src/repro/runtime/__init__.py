@@ -54,10 +54,8 @@ from repro.runtime.supervisor import (
 )
 from repro.runtime.telemetry import (
     ExtensionSnapshot,
-    LatencyReservoir,
     RuntimeSnapshot,
     hist_percentile,
-    percentile,
 )
 from repro.runtime.versions import (
     CanaryConfig,
@@ -73,7 +71,6 @@ __all__ = [
     "ExtensionState",
     "IngressQueue",
     "InjectedCrash",
-    "LatencyReservoir",
     "PacketRuntime",
     "ProcessBackend",
     "RuntimeConfig",
@@ -90,5 +87,4 @@ __all__ = [
     "fault_reason",
     "get_backend",
     "hist_percentile",
-    "percentile",
 ]

@@ -6,7 +6,7 @@ turns untrusted bytes into validated programs.  This module is the
 traffic is flowing, and what happens when one of them misbehaves.
 
 Admission (:meth:`PacketRuntime.attach`) goes only through the loader.
-A submission that validates runs on the raw threaded-code engine with
+A submission that validates runs on the raw compiled engine with
 **zero per-packet checks** — the paper's whole point.  A submission that
 fails validation is rejected, or — when the operator opts in with
 ``downgrade_unproven`` — admitted onto the *checked* abstract-machine

@@ -196,11 +196,7 @@ class Shard:
                 # (fixed config value or WCET-derived under "auto").
                 budget = extension.cycle_budget
                 try:
-                    if budget is None:
-                        result = engine.run(memory, registers)
-                    else:
-                        result = engine.run_budgeted(memory, registers,
-                                                     budget)
+                    result = engine.run(memory, registers, budget)
                 except MachineError as error:
                     counters.faults += 1
                     if isinstance(error, BudgetExceeded):

@@ -1,4 +1,4 @@
-"""Runtime telemetry: latency reservoirs and stats snapshots.
+"""Runtime telemetry: latency histograms and stats snapshots.
 
 A kernel dispatch plane is only operable if it can answer "which
 extension is slow / faulting / quarantined" without perturbing the hot
@@ -11,71 +11,23 @@ filter has only a handful of distinct root-to-leaf path costs, so a
 ``{cycles: count}`` dict records the full latency distribution in a few
 entries, merges across shards (and across worker *processes*) by plain
 addition — associative, order-independent, deterministic — and costs the
-hot path one dict bump instead of a reservoir's per-packet RNG draw.
-:class:`LatencyReservoir` (algorithm R with a seeded RNG) remains for
-consumers sampling genuinely high-cardinality streams.
+hot path one dict bump instead of a sampler's per-packet RNG draw.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 
 
-class LatencyReservoir:
-    """Fixed-size uniform sample of per-packet cycle latencies.
-
-    Algorithm R: the first ``capacity`` observations are kept verbatim;
-    afterwards observation ``n`` replaces a random slot with probability
-    ``capacity / n``.  The RNG is seeded per reservoir so the sample —
-    and hence every reported percentile — is reproducible.
-    """
-
-    __slots__ = ("capacity", "count", "samples", "_rng")
-
-    def __init__(self, capacity: int = 512, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError("reservoir capacity must be positive")
-        self.capacity = capacity
-        self.count = 0
-        self.samples: list[int] = []
-        self._rng = random.Random(seed)
-
-    def add(self, value: int) -> None:
-        self.count += 1
-        if len(self.samples) < self.capacity:
-            self.samples.append(value)
-            return
-        slot = self._rng.randrange(self.count)
-        if slot < self.capacity:
-            self.samples[slot] = value
-
-    def __len__(self) -> int:
-        return self.count
-
-
-def percentile(values: list[int], fraction: float) -> float:
-    """Linear-interpolation percentile of ``values`` (need not be
-    sorted); 0.0 for an empty sample."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = fraction * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    weight = rank - low
-    return ordered[low] * (1.0 - weight) + ordered[high] * weight
-
-
 def hist_percentile(hist: dict[int, int], fraction: float) -> float:
-    """:func:`percentile` of the multiset a ``{value: count}`` histogram
-    denotes, computed from cumulative counts without expanding it.
+    """Linear-interpolation percentile of the multiset a ``{value:
+    count}`` histogram denotes, computed from cumulative counts without
+    expanding it.
 
-    Bit-equal to ``percentile(expanded, fraction)`` for any expansion
-    order; 0.0 for an empty histogram.
+    ``fraction`` 0.0 is the minimum and 1.0 the maximum; a rank between
+    two sorted positions interpolates linearly between their values.  A
+    single-element multiset yields its value, an empty one 0.0.
     """
     total = sum(hist.values())
     if total == 0:
@@ -87,7 +39,7 @@ def hist_percentile(hist: dict[int, int], fraction: float) -> float:
     low = int(rank)
     weight = rank - low
     # The values at positions ``low`` and ``low + 1`` of the sorted
-    # expansion (clamped to the last element, as percentile() does).
+    # expansion (clamped to the last element).
     low_value = high_value = None
     seen = 0
     for value, count in ordered:

@@ -190,11 +190,7 @@ class ShadowCanary:
         counters.packets_in += 1
         budget = candidate.cycle_budget
         try:
-            if budget is None:
-                result = engine.run(shard.memory, registers)
-            else:
-                result = engine.run_budgeted(shard.memory, registers,
-                                             budget)
+            result = engine.run(shard.memory, registers, budget)
         except MachineError as error:
             counters.faults += 1
             self._observe(clean=False,

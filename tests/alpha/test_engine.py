@@ -1,5 +1,6 @@
-"""Unit tests for the threaded-code engine (decode layers, code cache,
-trap slots, step-limit boundary, and the reusable kernel memories)."""
+"""Unit tests for the block-compiled engine (code cache, trap slots, the
+step-limit tail on the reference machine, budgets, and the reusable
+kernel memories)."""
 
 import struct
 
@@ -10,13 +11,11 @@ from repro.alpha.engine import (
     ExecutionEngine,
     clear_code_cache,
     code_cache_size,
-    compile_program,
-    run_program,
 )
 from repro.alpha.isa import Ret
 from repro.alpha.machine import Machine, Memory
 from repro.alpha.parser import parse_program
-from repro.errors import MachineError, SafetyViolation
+from repro.errors import BudgetExceeded, MachineError, SafetyViolation
 from repro.baselines.sfi.policy import (
     reusable_sfi_memory,
     sfi_memory,
@@ -28,6 +27,20 @@ from repro.filters.policy import (
     reusable_packet_memory,
 )
 from repro.perf.cost import ALPHA_175
+
+
+def _outcome(thunk):
+    """A run's result, or the type and message of the error it raised."""
+    try:
+        return ("result", thunk())
+    except MachineError as error:
+        return (type(error).__name__, str(error))
+
+
+def _table_memory():
+    memory = Memory()
+    memory.map_region(0x1000, bytes(range(48)), writable=True, name="table")
+    return memory
 
 
 def _engine_run(source, registers=None, memory=None, **kwargs):
@@ -60,8 +73,8 @@ class TestEngineSemantics:
         assert memory.load_quad(0x1008) == 6
 
     def test_run_program_one_shot(self):
-        result = run_program(parse_program("ADDQ r1, 1, r0\nRET"),
-                             Memory(), {1: 41})
+        result = ExecutionEngine(parse_program("ADDQ r1, 1, r0\nRET")).run(
+            Memory(), {1: 41})
         assert result.value == 42
 
     def test_branch_to_invalid_target_is_reference_identical(self):
@@ -82,25 +95,73 @@ class TestEngineSemantics:
         assert "pc 0" in str(info.value)
 
     def test_step_limit_boundary_matches_reference(self):
-        """Sweep max_steps across a looping program so the limit lands at
-        every offset inside a compiled block (the per-instruction
-        boundary path must reproduce the reference exactly)."""
+        """Sweep max_steps across looping programs so the limit lands at
+        every offset inside a compiled block.  The block that would cross
+        the limit steps on the reference machine, so outcomes and memory
+        post-state match it exactly: for the concrete engine, and for the
+        abstract engine over a loop whose checked LDQ and STQ pass the
+        rd()/wr() checks (first predicate pair) or get stuck on the last
+        store (second)."""
         source = "\n".join(["ADDQ r0, 1, r0"] * 6
                            + ["top: SUBQ r0, 1, r0", "BNE r0, top", "RET"])
         program = parse_program(source)
         for max_steps in range(1, 30):
-            try:
-                expected = ("result",
-                            Machine(program, Memory(), {},
-                                    max_steps=max_steps).run())
-            except MachineError as error:
-                expected = ("error", str(error))
-            engine = ExecutionEngine(program, max_steps=max_steps)
-            try:
-                actual = ("result", engine.run(Memory()))
-            except MachineError as error:
-                actual = ("error", str(error))
+            expected = _outcome(lambda: Machine(
+                program, Memory(), {}, max_steps=max_steps).run())
+            actual = _outcome(lambda: ExecutionEngine(
+                program, max_steps=max_steps).run(Memory()))
             assert actual == expected, f"max_steps={max_steps}"
+
+        checked = parse_program("""
+            top: LDQ  r2, 0(r1)
+                 ADDQ r2, r0, r2
+                 STQ  r2, 8(r1)
+                 ADDQ r1, 8, r1
+                 SUBQ r3, 1, r3
+                 BNE  r3, top
+                 ADDQ r2, 0, r0
+                 RET
+        """)
+        registers = {1: 0x1000, 3: 4}
+
+        def in_table(address):
+            return 0x1000 <= address < 0x1028
+
+        for can_write in (in_table, lambda address: address < 0x1020):
+            for max_steps in range(1, 30):
+                reference, engine = _table_memory(), _table_memory()
+                expected = _outcome(lambda: AbstractMachine(
+                    checked, reference, in_table, can_write, registers,
+                    max_steps=max_steps).run())
+                actual = _outcome(lambda: abstract_engine(
+                    checked, in_table, can_write,
+                    max_steps=max_steps).run(engine, registers))
+                assert actual == expected, f"max_steps={max_steps}"
+                assert engine.region("table") == reference.region("table")
+        assert expected[0] == "SafetyViolation"
+
+    def test_budget_charged_whole_at_the_crossing_block(self):
+        """The block that would cross the step limit is charged whole at
+        entry, like every other block: ``run`` and ``run_batch`` raise
+        the same BudgetExceeded with the block-entry clock, although the
+        step limit would stop the block before its last cycle."""
+        program = parse_program(
+            "\n".join(["top: ADDQ r0, 1, r0"] + ["ADDQ r0, 1, r0"] * 4
+                      + ["BR top"]))
+        engine = ExecutionEngine(program, max_steps=10)
+        with pytest.raises(BudgetExceeded) as single:
+            engine.run(Memory(), cycle_budget=11)
+        memory, rebind = reusable_packet_memory()
+        done, accepted, pairs, batched = engine.run_batch(
+            memory, rebind, [bytes(64)], filter_registers, 0, 11)
+        assert (done, accepted, pairs) == (0, 0, [])
+        for error in (single.value, batched):
+            assert type(error) is BudgetExceeded
+            assert (error.budget, error.cycles, error.steps) == (11, 12, 6)
+        assert str(batched) == str(single.value)
+        # Within budget, the block steps on the reference to the limit.
+        with pytest.raises(MachineError, match="exceeded 10 steps"):
+            engine.run(Memory(), cycle_budget=12)
 
 
 class TestCodeCache:
@@ -125,8 +186,8 @@ class TestCodeCache:
             def cycles(self, instruction):
                 return 2
 
-        result = run_program(parse_program("RET"), Memory(),
-                             cost_model=Weird())
+        result = ExecutionEngine(parse_program("RET"),
+                                 cost_model=Weird()).run(Memory())
         assert result.cycles == 2
 
 

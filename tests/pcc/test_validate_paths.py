@@ -86,6 +86,26 @@ class TestRejectionPaths:
         _reject(PccBinary(binary.code, table, stream).to_bytes(),
                 resource_policy)
 
+    def test_invariant_with_unbound_variable(self):
+        """A bit flip in the checksum loop invariant (seed 145) decodes
+        to a formula whose safety predicate has a variable with no LF
+        binding; encoding it must fail as a ValidationError."""
+        from repro.filters.checksum import (
+            CHECKSUM_LOOP_PC,
+            CHECKSUM_SOURCE,
+            checksum_invariant,
+            checksum_policy,
+        )
+        from repro.pcc import certify
+        from repro.pcc.mutate import bitflip_section
+
+        policy = checksum_policy()
+        blob = certify(CHECKSUM_SOURCE, policy, invariants={
+            CHECKSUM_LOOP_PC: checksum_invariant()}).binary.to_bytes()
+        mutant = bitflip_section(blob, "invariants", 145)
+        with pytest.raises(ValidationError, match="no LF binding"):
+            validate(mutant, policy)
+
 
 class TestAcceptancePath:
     def test_report_fields_complete(self, resource_policy,

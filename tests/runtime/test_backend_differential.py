@@ -9,7 +9,7 @@ Three layers of the same claim, each checked property-based:
   fault ledgers, quarantine transitions) on the same frames, including
   traces that inject faults (budget overruns, checked-tier violations);
 * **batch vs per-frame** — :meth:`ExecutionEngine.run_batch` must equal
-  the per-frame run/run_budgeted dispatch protocol on *arbitrary*
+  the per-frame ``run`` dispatch protocol on *arbitrary*
   machine programs (loops, wild loads, stores, step limits), not just
   the well-behaved filters;
 * **compiled vs generic** — :func:`repro.alpha.batch.compile_batch`
@@ -210,7 +210,7 @@ def _normalize(outcome):
 
 
 def _per_frame_reference(engine, frames, start, cycle_budget):
-    """The serial dispatch protocol run/run_budgeted would follow."""
+    """The serial dispatch protocol a per-frame ``run`` would follow."""
     memory, rebind = reusable_packet_memory()
     accepted = 0
     hist: dict[int, int] = {}
@@ -220,11 +220,7 @@ def _per_frame_reference(engine, frames, start, cycle_budget):
         rebind(frame)
         registers = filter_registers(len(frame))
         try:
-            if cycle_budget is None:
-                result = engine.run(memory, registers)
-            else:
-                result = engine.run_budgeted(memory, registers,
-                                             cycle_budget)
+            result = engine.run(memory, registers, cycle_budget)
         except MachineError as error:
             return index, accepted, list(hist.items()), error
         if result.value:

@@ -1,11 +1,11 @@
-"""Telemetry primitives: reservoirs, percentiles, budgeted execution."""
+"""Telemetry primitives: histogram percentiles, budgeted execution."""
 
 import pytest
 
 from repro.errors import BudgetExceeded
 from repro.filters.policy import filter_registers, reusable_packet_memory
 from repro.pcc.api import CodeConsumer
-from repro.runtime import LatencyReservoir, percentile
+from repro.runtime import hist_percentile
 
 
 @pytest.fixture(scope="module")
@@ -17,47 +17,18 @@ def filter1_engine(filter_policy, certified_filters):
     return loaded.engine()
 
 
-def test_reservoir_is_deterministic():
-    stream = [(i * 37) % 1009 for i in range(5000)]
-    first = LatencyReservoir(capacity=64, seed=7)
-    second = LatencyReservoir(capacity=64, seed=7)
-    for value in stream:
-        first.add(value)
-        second.add(value)
-    assert first.samples == second.samples
-    assert first.count == second.count == 5000
-    assert len(first.samples) == 64
-
-
-def test_reservoir_keeps_everything_under_capacity():
-    reservoir = LatencyReservoir(capacity=128, seed=0)
-    for value in range(100):
-        reservoir.add(value)
-    assert sorted(reservoir.samples) == list(range(100))
-
-
-def test_different_seeds_sample_differently():
-    streams = []
-    for seed in (1, 2):
-        reservoir = LatencyReservoir(capacity=32, seed=seed)
-        for value in range(2000):
-            reservoir.add(value)
-        streams.append(reservoir.samples)
-    assert streams[0] != streams[1]
-
-
 def test_percentile_interpolates():
-    values = list(range(1, 101))
-    assert percentile(values, 0.0) == 1
-    assert percentile(values, 1.0) == 100
-    assert percentile(values, 0.5) == pytest.approx(50.5)
-    assert percentile([5], 0.99) == 5
-    assert percentile([], 0.5) == 0.0
+    values = {v: 1 for v in range(1, 101)}
+    assert hist_percentile(values, 0.0) == 1
+    assert hist_percentile(values, 1.0) == 100
+    assert hist_percentile(values, 0.5) == pytest.approx(50.5)
+    assert hist_percentile({5: 1}, 0.99) == 5
+    assert hist_percentile({}, 0.5) == 0.0
 
 
 def test_budgeted_run_is_bit_identical_under_budget(filter1_engine,
                                                     small_trace):
-    """``run_budgeted`` with a generous budget must agree with ``run``
+    """``run`` with a generous budget must agree with an unbudgeted run
     exactly — same verdicts, same cycle counts — because the budget
     check only observes the cycle counter the engine keeps anyway."""
     engine = filter1_engine
@@ -66,8 +37,8 @@ def test_budgeted_run_is_bit_identical_under_budget(filter1_engine,
         rebind(frame)
         plain = engine.run(memory, filter_registers(len(frame)))
         rebind(frame)
-        budgeted = engine.run_budgeted(memory, filter_registers(len(frame)),
-                                       cycle_budget=1_000_000)
+        budgeted = engine.run(memory, filter_registers(len(frame)),
+                              cycle_budget=1_000_000)
         assert budgeted.value == plain.value
         assert budgeted.cycles == plain.cycles
         assert budgeted.instructions == plain.instructions
@@ -80,8 +51,7 @@ def test_budget_overrun_reports_cycles_and_budget(filter1_engine,
     frame = small_trace[0]
     rebind(frame)
     with pytest.raises(BudgetExceeded) as excinfo:
-        engine.run_budgeted(memory, filter_registers(len(frame)),
-                            cycle_budget=3)
+        engine.run(memory, filter_registers(len(frame)), cycle_budget=3)
     error = excinfo.value
     assert error.budget == 3
     assert error.cycles > 3
