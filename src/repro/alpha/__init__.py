@@ -4,7 +4,9 @@ This package is the native-code substrate of the reproduction.  It models
 the subset of the Alpha architecture the paper uses (Figure 2, extended with
 the byte-manipulation and compare instructions the hand-tuned filters need):
 
-* :mod:`repro.alpha.isa` — instruction data types and register conventions,
+* :mod:`repro.alpha.isa` — instruction data types, register conventions,
+  and the one statement of what each instruction means (the operators,
+  the branch tests, the code-generation table, the block successors),
 * :mod:`repro.alpha.parser` — the assembly-language front end,
 * :mod:`repro.alpha.encoding` — real 32-bit Alpha instruction encodings,
 * :mod:`repro.alpha.machine` — the concrete processor (no safety checks),

@@ -19,10 +19,12 @@ contract (:class:`FramePlan`):
   path is straight-line code guarded by the original branch conditions;
 * registers are evaluated symbolically: r1/r3 are the plan's constant
   bases, r2 is the frame length, everything else starts at 0, and all
-  arithmetic over compile-time constants is folded using the *reference
-  machine's own* operator semantics (:func:`repro.alpha.machine
-  ._operate`), so constant addresses, shifts and comparisons disappear
-  into literals;
+  arithmetic over compile-time constants is folded with the ISA's one
+  operator semantics (:func:`repro.alpha.isa.operate`), so constant
+  addresses, shifts and comparisons disappear into literals; what does
+  not fold is emitted from the engine's code-generation table
+  (``OPERATE_PY`` and ``BRANCH_PY`` in :mod:`repro.alpha.isa`) unless
+  the ranges below license a rewrite;
 * every symbolic value carries an interval ``[min, max]`` and a
   known-trailing-zero-bits count.  The ranges prove most ``& 2**64-1``
   wrap masks redundant (the operands cannot overflow), fold branches
@@ -74,6 +76,9 @@ from struct import Struct
 from typing import NamedTuple
 
 from repro.alpha.isa import (
+    BRANCH_PY,
+    OPERATE_PY,
+    WORD_MASK,
     Br,
     Branch,
     Ldah,
@@ -83,10 +88,10 @@ from repro.alpha.isa import (
     Program,
     Ret,
     Stq,
+    block_exits,
     block_partition,
-    branch_target,
+    operate,
 )
-from repro.alpha.machine import WORD_MASK, _branch_taken, _operate, _sext16
 from repro.errors import BudgetExceeded, MachineError
 
 __all__ = ["BatchRunner", "FramePlan", "batch_capability", "compile_batch"]
@@ -192,47 +197,44 @@ def _block_graph(program: Program, cost_model,
         block_cost[start] = sum(costs[start:end])
 
     def successors(leader: int) -> list[int]:
-        last_pc = leader + block_len[leader] - 1
-        last = program[last_pc]
-        if isinstance(last, Ret):
-            return []
-        if isinstance(last, Br):
-            return [branch_target(last_pc, last)]
-        if isinstance(last, Branch):
-            return [branch_target(last_pc, last), last_pc + 1]
-        return [last_pc + 1]    # fell through into a leader
+        """In-program successors; a trap costs nothing further."""
+        exits = block_exits(program, leader + block_len[leader])
+        return [succ for succ in exits
+                if succ is not None and 0 <= succ < size]
 
-    # Depth-first over the blocks reachable from pc 0: a successor still
-    # on the DFS stack closes a loop.  The maxima bound every path, which
-    # the step-limit refusal and the budget elision rest on.
-    on_stack: set[int] = set()
+    # Depth-first over the blocks reachable from pc 0, on an explicit
+    # stack: a chain of blocks can be longer than the recursion limit.
+    # A successor still on the stack closes a loop.  The maxima bound
+    # every path, which the step-limit refusal and the budget elision
+    # rest on.
     max_cycles: dict[int, int] = {}
     max_steps_from: dict[int, int] = {}
-
-    def visit(leader: int) -> None:
-        on_stack.add(leader)
-        best_c = best_s = 0
-        for succ in successors(leader):
-            if not 0 <= succ < size:
-                continue  # trap: zero further cost
+    stack = [(0, iter(successors(0)))] if size else []
+    on_stack = {0}
+    while stack:
+        leader, pending = stack[-1]
+        for succ in pending:
             if succ in on_stack:
                 raise _Fallback(f"loop through pc={succ}: the inlined "
                                 f"tree would be infinite")
             if succ not in max_cycles:
-                visit(succ)
-            best_c = max(best_c, max_cycles[succ])
-            best_s = max(best_s, max_steps_from[succ])
-        on_stack.discard(leader)
-        max_cycles[leader] = block_cost[leader] + best_c
-        max_steps_from[leader] = block_len[leader] + best_s
+                on_stack.add(succ)
+                stack.append((succ, iter(successors(succ))))
+                break
+        else:
+            stack.pop()
+            on_stack.discard(leader)
+            done = successors(leader)
+            max_cycles[leader] = block_cost[leader] + max(
+                (max_cycles[succ] for succ in done), default=0)
+            max_steps_from[leader] = block_len[leader] + max(
+                (max_steps_from[succ] for succ in done), default=0)
 
-    if size:
-        visit(0)
-        if max_steps_from[0] >= max_steps:
-            # The reference could trip its step limit mid-run; the
-            # driver elides that check, so it may not serve here.
-            raise _Fallback(f"worst-case path of {max_steps_from[0]} steps "
-                            f"reaches the {max_steps}-step limit")
+    if size and max_steps_from[0] >= max_steps:
+        # The reference could trip its step limit mid-run; the driver
+        # elides that check, so it may not serve here.
+        raise _Fallback(f"worst-case path of {max_steps_from[0]} steps "
+                        f"reaches the {max_steps}-step limit")
     return _BlockGraph(block_len, block_cost, max_cycles.get(0, 0))
 
 
@@ -340,40 +342,43 @@ def _identity(name: str, a, b):
 def _symbolic(name: str, a, b):
     """One operate instruction as a symbolic value: a parenthesized
     expression over the operand texts plus the interval/alignment facts
-    the operator semantics guarantee.  Wrap masks are emitted only when
-    the operand ranges admit overflow; compares emit Python ``bool``
-    (an ``int`` subclass with the reference's exact 0/1 values)."""
+    the operator semantics guarantee.  The expression is the
+    :data:`~repro.alpha.isa.OPERATE_PY` form unless the operand ranges
+    license a rewrite: a wrap mask no overflow can need is dropped,
+    constant shift counts and byte offsets fold, and compares emit
+    Python ``bool`` (an ``int`` subclass with the reference's exact 0/1
+    values)."""
     amn, amx, akz = _info(a)
     bmn, bmx, bkz = _info(b)
     x, y = str(a[1]), str(b[1])
+    text = f"({OPERATE_PY[name].format(a=x, b=y)})"
     if name == "ADDQ":
         if amx + bmx <= WORD_MASK:
             return ("e", f"({x} + {y})", amn + bmn, amx + bmx,
                     min(akz, bkz))
-        return ("e", f"(({x} + {y}) & {_M})", 0, WORD_MASK, min(akz, bkz))
+        return ("e", text, 0, WORD_MASK, min(akz, bkz))
     if name == "SUBQ":
         if amn >= bmx:
             return ("e", f"({x} - {y})", amn - bmx, amx - bmn,
                     min(akz, bkz))
-        return ("e", f"(({x} - {y}) & {_M})", 0, WORD_MASK, min(akz, bkz))
+        return ("e", text, 0, WORD_MASK, min(akz, bkz))
     if name == "MULQ":
         if amx * bmx <= WORD_MASK:
             return ("e", f"({x} * {y})", amn * bmn, amx * bmx,
                     min(akz + bkz, 64))
-        return ("e", f"(({x} * {y}) & {_M})", 0, WORD_MASK,
-                min(akz + bkz, 64))
+        return ("e", text, 0, WORD_MASK, min(akz + bkz, 64))
     if name == "AND":
         if b[0] == "k":
             return _and_const(a, b[1])
         if a[0] == "k":
             return _and_const(b, a[1])
-        return ("e", f"({x} & {y})", 0, min(amx, bmx), max(akz, bkz))
+        return ("e", text, 0, min(amx, bmx), max(akz, bkz))
     if name == "BIS":
         mx = (1 << max(amx.bit_length(), bmx.bit_length())) - 1
-        return ("e", f"({x} | {y})", max(amn, bmn), mx, min(akz, bkz))
+        return ("e", text, max(amn, bmn), mx, min(akz, bkz))
     if name == "XOR":
         mx = (1 << max(amx.bit_length(), bmx.bit_length())) - 1
-        return ("e", f"({x} ^ {y})", 0, mx, min(akz, bkz))
+        return ("e", text, 0, mx, min(akz, bkz))
     if name == "SLL":
         if b[0] == "k":
             k = b[1] & 63
@@ -387,7 +392,7 @@ def _symbolic(name: str, a, b):
                         min(akz + k, 64), ("sll", a, k, False))
             return ("e", f"(({x} << {k}) & {_M})", 0, WORD_MASK,
                     min(akz + k, 64), ("sll", a, k, True))
-        return ("e", f"(({x} << ({y} & 63)) & {_M})", 0, WORD_MASK, akz)
+        return ("e", text, 0, WORD_MASK, akz)
     if name == "SRL":
         if b[0] == "k":
             k = b[1] & 63
@@ -406,7 +411,7 @@ def _symbolic(name: str, a, b):
                     return inner   # (v << k) >> k with no overflow: v
                 return _and_const(inner, WORD_MASK >> k)
             return ("e", f"({x} >> {k})", lo, hi, kz)
-        return ("e", f"({x} >> ({y} & 63))", 0, amx, 0)
+        return ("e", text, 0, amx, 0)
     if name == "CMPEQ":
         if amx < bmn or bmx < amn:
             return ("k", 0)
@@ -429,18 +434,16 @@ def _symbolic(name: str, a, b):
         if amn > bmx:
             return ("k", 0)
         return ("e", f"({x} <= {y})", 0, 1, 0)
-    mask = _EXT_MASKS.get(name)
-    if mask is not None:
-        maskv = int(mask, 16)
-        if b[0] == "k":
-            shift = 8 * (b[1] & 7)
-            if shift == 0:
-                return _and_const(a, maskv, mask)
-            return ("e", f"(({x} >> {shift}) & {mask})", 0,
-                    min(amx >> shift, maskv), 0,
-                    ("and", f"({x} >> {shift})", maskv))
-        return ("e", f"(({x} >> (8 * ({y} & 7))) & {mask})", 0, maskv, 0)
-    raise _Fallback(f"unknown operate {name!r}")  # pragma: no cover
+    mask = _EXT_MASKS[name]
+    maskv = int(mask, 16)
+    if b[0] == "k":
+        shift = 8 * (b[1] & 7)
+        if shift == 0:
+            return _and_const(a, maskv, mask)
+        return ("e", f"(({x} >> {shift}) & {mask})", 0,
+                min(amx >> shift, maskv), 0,
+                ("and", f"({x} >> {shift})", maskv))
+    return ("e", text, 0, maskv, 0)
 
 
 def _and_const(a, c: int, text: str | None = None):
@@ -493,21 +496,12 @@ def _branch_decide(name: str, mn: int, mx: int):
 
 
 def _branch_cond(name: str, s: str, mx: int) -> str:
-    """The Python test for "branch taken".  Registers are ints, so
-    truthiness is exactly ``!= 0``."""
-    if name == "BNE":
-        return s
-    if name == "BEQ":
-        return f"not {s}"
-    if name == "BGE":
-        return f"{s} < {_S63}"
-    if name == "BLT":
-        return f"{s} >= {_S63}"
-    if name == "BGT":
-        return s if mx < _S63 else f"0 < {s} < {_S63}"
-    if name == "BLE":
-        return f"not {s}" if mx < _S63 else f"{s} >= {_S63} or {s} == 0"
-    raise _Fallback(f"unknown branch {name!r}")  # pragma: no cover
+    """The Python test for "branch taken": the
+    :data:`~repro.alpha.isa.BRANCH_PY` form, where a value below 2**63
+    reduces the signed BGT and BLE to the nonzero and zero tests."""
+    if mx < _S63:
+        name = {"BGT": "BNE", "BLE": "BEQ"}.get(name, name)
+    return BRANCH_PY[name].format(s=s)
 
 
 _ASSIGN = re.compile(r"(t\d+) = (.*)$")
@@ -608,7 +602,7 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
         """Emit one load; True when the path terminates here (a raise
         that does not depend on the frame)."""
         base = regs.get(instruction.rs.index, _ZERO)
-        disp = _sext16(instruction.disp)
+        disp = instruction.disp
         pb = plan.packet_base
         sb, ss = plan.scratch_base, plan.scratch_size
         if base[0] == "k":
@@ -666,7 +660,7 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
             else:
                 b = regs.get(instruction.rb.index, _ZERO)
             if a[0] == "k" and b[0] == "k":
-                value = ("k", _operate(instruction.name, a[1], b[1]))
+                value = ("k", operate(instruction.name, a[1], b[1]))
             else:
                 value = _identity(instruction.name, a, b)
                 if value is None:
@@ -677,7 +671,7 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
         if isinstance(instruction, Ldq):
             return emit_ldq(instruction, regs, memo, indent)
         # Lda / Ldah
-        disp = _sext16(instruction.disp)
+        disp = instruction.disp
         if isinstance(instruction, Ldah):
             disp <<= 16
         base = regs.get(instruction.rs.index, _ZERO)
@@ -727,53 +721,44 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
                      f'steps={cum_steps})')
             cum_steps += block_len[pc]
             end = pc + block_len[pc]
-            transferred = False
-            for p in range(pc, end):
-                instruction = program[p]
-                if isinstance(instruction, Ret):
+            last = program[end - 1]
+            transfers = isinstance(last, (Branch, Br, Ret))
+            for p in range(pc, end - 1 if transfers else end):
+                if emit_straightline(program[p], regs, memo, indent):
+                    return
+            # Out-of-program exits are caught by the range check above.
+            taken, fall_through = block_exits(program, end)
+            if taken is None:
+                if fall_through is None:        # RET
                     emit_leaf(regs, cum_cycles, indent)
                     return
-                if isinstance(instruction, Br):
-                    pc = p + 1 + instruction.offset
-                    transferred = True
-                    break
-                if isinstance(instruction, Branch):
-                    value = regs.get(instruction.rs.index, _ZERO)
-                    taken = p + 1 + instruction.offset
-                    if value[0] == "k":
-                        pc = (taken
-                              if _branch_taken(instruction.name, value[1])
-                              else p + 1)
-                        transferred = True
-                        break
-                    mn, mx, _ = _info(value)
-                    decided = _branch_decide(instruction.name, mn, mx)
-                    if decided is not None:
-                        pc = taken if decided else p + 1
-                        transferred = True
-                        break
-                    condition = _branch_cond(instruction.name, value[1],
-                                             mx)
-                    taken_regs = dict(regs)
-                    fall_regs = dict(regs)
-                    # BEQ-taken / BNE-fallthrough pin the register to an
-                    # exact value; downstream reads of it const-fold.
-                    if instruction.name == "BEQ":
-                        taken_regs[instruction.rs.index] = _ZERO
-                    elif instruction.name == "BNE":
-                        fall_regs[instruction.rs.index] = _ZERO
-                    emit(indent, f"if {condition}:")
-                    walk(taken, taken_regs, dict(memo), cum_cycles,
-                         cum_steps, indent + 1)
-                    emit(indent, "else:")
-                    walk(p + 1, fall_regs, dict(memo), cum_cycles,
-                         cum_steps, indent + 1)
-                    return
-                if emit_straightline(instruction, regs, memo, indent):
-                    return
-            if not transferred:
-                pc = end    # fell through into the next leader (or off
-                            # the end, caught by the range check above)
+                pc = fall_through
+                continue
+            if fall_through is None:            # BR
+                pc = taken
+                continue
+            value = regs.get(last.rs.index, _ZERO)
+            mn, mx, _ = _info(value)
+            # A constant is a one-point range, which always decides.
+            decided = _branch_decide(last.name, mn, mx)
+            if decided is not None:
+                pc = taken if decided else fall_through
+                continue
+            taken_regs = dict(regs)
+            fall_regs = dict(regs)
+            # BEQ-taken / BNE-fallthrough pin the register to an exact
+            # value; downstream reads of it const-fold.
+            if last.name == "BEQ":
+                taken_regs[last.rs.index] = _ZERO
+            elif last.name == "BNE":
+                fall_regs[last.rs.index] = _ZERO
+            emit(indent, f"if {_branch_cond(last.name, value[1], mx)}:")
+            walk(taken, taken_regs, dict(memo), cum_cycles, cum_steps,
+                 indent + 1)
+            emit(indent, "else:")
+            walk(fall_through, fall_regs, dict(memo), cum_cycles,
+                 cum_steps, indent + 1)
+            return
 
     entry = {1: ("k", plan.packet_base), 2: ("e", "flen", 0, WORD_MASK, 0),
              3: ("k", plan.scratch_base)}

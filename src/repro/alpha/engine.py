@@ -12,9 +12,11 @@ modeled cycle.  A :class:`Program` is cut into basic blocks once, by
 :func:`repro.alpha.isa.block_partition`, and every block is compiled with
 ``exec`` into one specialized Python function — a *superinstruction*:
 
-* register indices, sign-extended displacements, shift amounts and
-  branch targets are literals in the generated source; registers live in
-  locals and are flushed to the register file at the block exit;
+* register indices, displacements, operate literals and branch targets
+  are constants in the generated source, and each operator and branch
+  test is its expression in :data:`repro.alpha.isa.OPERATE_PY` or
+  :data:`~repro.alpha.isa.BRANCH_PY`; registers live in locals and are
+  flushed to the register file at the block exit;
 * a block's dynamic step and cycle counts are decode-time constants, so
   the run loop charges them with two additions per *block*;
 * a branch target that leaves the program resolves to a trap slot past
@@ -58,20 +60,21 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from repro.alpha.isa import (
+    BRANCH_PY,
     NUM_REGS,
+    OPERATE_PY,
     Br,
     Branch,
     Instruction,
     Lda,
-    Ldah,
     Ldq,
     Lit,
     Operate,
     Program,
     Ret,
     Stq,
+    block_exits,
     block_partition,
-    branch_target,
 )
 from repro.alpha.machine import (
     WORD_MASK,
@@ -79,7 +82,6 @@ from repro.alpha.machine import (
     Machine,
     MachineResult,
     Memory,
-    _sext16,
 )
 from repro.errors import BudgetExceeded, MachineError
 
@@ -267,16 +269,6 @@ class ExecutionEngine:
 # match the reference.
 
 _M = str(WORD_MASK)
-_S = str(1 << 63)
-
-_BRANCH_CONDITIONS = {
-    "BEQ": "{s} == 0",
-    "BNE": "{s} != 0",
-    "BGE": "{s} < " + _S,
-    "BLT": "{s} >= " + _S,
-    "BGT": "0 < {s} < " + _S,
-    "BLE": "{s} >= " + _S + " or {s} == 0",
-}
 
 
 class _BlockAssembler:
@@ -321,69 +313,10 @@ def _address_expr(asm: _BlockAssembler, base_index: int, disp: int) -> str:
 
 
 def _operate_expr(asm: _BlockAssembler, instruction: Operate) -> str:
-    name = instruction.name
     a = asm.use(instruction.ra.index)
-    if isinstance(instruction.rb, Lit):
-        k = instruction.rb.value
-        if name == "ADDQ":
-            return f"({a} + {k}) & {_M}"
-        if name == "SUBQ":
-            return f"({a} - {k}) & {_M}"
-        if name == "MULQ":
-            return f"({a} * {k}) & {_M}"
-        if name == "AND":
-            return f"{a} & {k}"
-        if name == "BIS":
-            return f"{a} | {k}"
-        if name == "XOR":
-            return f"{a} ^ {k}"
-        if name == "SLL":
-            return f"({a} << {k & 63}) & {_M}"
-        if name == "SRL":
-            return f"{a} >> {k & 63}"
-        if name == "CMPEQ":
-            return f"1 if {a} == {k} else 0"
-        if name == "CMPULT":
-            return f"1 if {a} < {k} else 0"
-        if name == "CMPULE":
-            return f"1 if {a} <= {k} else 0"
-        if name == "EXTBL":
-            return f"({a} >> {8 * (k & 7)}) & 0xFF"
-        if name == "EXTWL":
-            return f"({a} >> {8 * (k & 7)}) & 0xFFFF"
-        if name == "EXTLL":
-            return f"({a} >> {8 * (k & 7)}) & 0xFFFFFFFF"
-        raise MachineError(f"unknown operate {name!r}")  # pragma: no cover
-    b = asm.use(instruction.rb.index)
-    if name == "ADDQ":
-        return f"({a} + {b}) & {_M}"
-    if name == "SUBQ":
-        return f"({a} - {b}) & {_M}"
-    if name == "MULQ":
-        return f"({a} * {b}) & {_M}"
-    if name == "AND":
-        return f"{a} & {b}"
-    if name == "BIS":
-        return f"{a} | {b}"
-    if name == "XOR":
-        return f"{a} ^ {b}"
-    if name == "SLL":
-        return f"({a} << ({b} & 63)) & {_M}"
-    if name == "SRL":
-        return f"{a} >> ({b} & 63)"
-    if name == "CMPEQ":
-        return f"1 if {a} == {b} else 0"
-    if name == "CMPULT":
-        return f"1 if {a} < {b} else 0"
-    if name == "CMPULE":
-        return f"1 if {a} <= {b} else 0"
-    if name == "EXTBL":
-        return f"({a} >> (8 * ({b} & 7))) & 0xFF"
-    if name == "EXTWL":
-        return f"({a} >> (8 * ({b} & 7))) & 0xFFFF"
-    if name == "EXTLL":
-        return f"({a} >> (8 * ({b} & 7))) & 0xFFFFFFFF"
-    raise MachineError(f"unknown operate {name!r}")  # pragma: no cover
+    rb = instruction.rb
+    b = rb.value if isinstance(rb, Lit) else asm.use(rb.index)
+    return OPERATE_PY[instruction.name].format(a=a, b=b)
 
 
 def _emit_straightline(asm: _BlockAssembler, instruction: Instruction,
@@ -392,16 +325,14 @@ def _emit_straightline(asm: _BlockAssembler, instruction: Instruction,
     if isinstance(instruction, Operate):
         asm.assign(instruction.rc.index, _operate_expr(asm, instruction))
     elif isinstance(instruction, Ldq):
-        address = _address_expr(asm, instruction.rs.index,
-                                _sext16(instruction.disp))
+        address = _address_expr(asm, instruction.rs.index, instruction.disp)
         if checked_read:
             asm.line(f"_a = {address}")
             asm.line(f"check_read(_a, {pc})")
             address = "_a"
         asm.assign(instruction.rd.index, f"memory.load_quad({address})")
     elif isinstance(instruction, Stq):
-        address = _address_expr(asm, instruction.rd.index,
-                                _sext16(instruction.disp))
+        address = _address_expr(asm, instruction.rd.index, instruction.disp)
         value = asm.use(instruction.rs.index)
         if checked_write:
             asm.line(f"_a = {address}")
@@ -410,12 +341,11 @@ def _emit_straightline(asm: _BlockAssembler, instruction: Instruction,
         asm.line(f"memory.store_quad({address}, {value})")
     elif isinstance(instruction, Lda):
         asm.assign(instruction.rd.index,
-                   _address_expr(asm, instruction.rs.index,
-                                 _sext16(instruction.disp)))
+                   _address_expr(asm, instruction.rs.index, instruction.disp))
     else:  # Ldah — the only remaining straight-line kind
         asm.assign(instruction.rd.index,
                    _address_expr(asm, instruction.rs.index,
-                                 _sext16(instruction.disp) << 16))
+                                 instruction.disp << 16))
 
 
 def _block_source(program: Program, start: int, end: int,
@@ -423,25 +353,22 @@ def _block_source(program: Program, start: int, end: int,
                   checked_write: bool) -> str:
     """The body of the function for the block at pcs ``start..end-1``."""
     asm = _BlockAssembler()
-    last_pc = end - 1
-    last = program[last_pc]
+    last = program[end - 1]
     transfers = isinstance(last, (Branch, Br, Ret))
-    for pc in range(start, last_pc if transfers else end):
+    for pc in range(start, end - 1 if transfers else end):
         _emit_straightline(asm, program[pc], pc, checked_read, checked_write)
-    if isinstance(last, Branch):
-        condition = _BRANCH_CONDITIONS[last.name].format(
-            s=asm.use(last.rs.index))
-        successor = (f"{resolve(branch_target(last_pc, last))} "
-                     f"if {condition} else {resolve(end)}")
-    elif isinstance(last, Br):
-        successor = resolve(branch_target(last_pc, last))
-    elif isinstance(last, Ret):
-        successor = _RET
+    # A fall-through may run off the end of the program onto a trap
+    # slot, which the run loop enters after its step check as the
+    # reference machine does.
+    taken, fall_through = block_exits(program, end)
+    if taken is None:
+        successor = _RET if fall_through is None else resolve(fall_through)
+    elif fall_through is None:
+        successor = resolve(taken)
     else:
-        # Falls into the next leader, or off the end of the program onto
-        # a trap slot, which the run loop enters after its step check as
-        # the reference machine does.
-        successor = resolve(end)
+        condition = BRANCH_PY[last.name].format(s=asm.use(last.rs.index))
+        successor = (f"{resolve(taken)} if {condition} "
+                     f"else {resolve(fall_through)}")
     asm.flush()
     asm.line(f"return {successor}")
     return asm.render()

@@ -23,6 +23,13 @@ Instruction kinds:
 :class:`Br`       unconditional branch
 :class:`Ret`      return to the kernel
 ================  =========================================================
+
+Each instruction's meaning is stated here once: :func:`operate` (the
+logic operator :data:`OPERATE_NAMES` names) and :func:`branch_taken` are
+the concrete semantics every machine and constant fold applies,
+:data:`OPERATE_PY` and :data:`BRANCH_PY` the one code-generation table,
+and :func:`block_partition` and :func:`block_exits` the block structure
+and successor rule every executor and the static analyzer share.
 """
 
 from __future__ import annotations
@@ -31,9 +38,12 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.errors import AssemblyError
+from repro.logic.terms import OPS, WORD_MASK
 
 #: The paper's 11 temporary registers, r0 .. r10.
 NUM_REGS = 11
+
+_SIGN_BIT = 1 << 63
 
 #: Value-producing operate instructions and the logic operator that gives
 #: their semantics (see :mod:`repro.logic.terms`).
@@ -57,6 +67,73 @@ OPERATE_NAMES: dict[str, str] = {
 #: Conditional branch mnemonics.  BGE/BLT/BGT/BLE test the *signed* value
 #: of the register, i.e. its two's-complement interpretation.
 BRANCH_NAMES = ("BEQ", "BNE", "BGE", "BLT", "BGT", "BLE")
+
+
+def operate(name: str, a: int, b: int) -> int:
+    """The word operate ``name`` computes from words ``a`` and ``b``: the
+    logic operator :data:`OPERATE_NAMES` gives it, so the machines, the
+    code generators' constant folds and the VC rules share one meaning."""
+    return OPS[OPERATE_NAMES[name]].evaluate(a, b)
+
+
+def branch_taken(name: str, value: int) -> bool:
+    """Whether branch ``name`` on the register word ``value`` is taken;
+    BGE/BLT/BGT/BLE test the signed interpretation."""
+    signed_negative = bool(value & _SIGN_BIT)
+    if name == "BEQ":
+        return value == 0
+    if name == "BNE":
+        return value != 0
+    if name == "BGE":
+        return not signed_negative
+    if name == "BLT":
+        return signed_negative
+    if name == "BGT":
+        return not signed_negative and value != 0
+    if name == "BLE":
+        return signed_negative or value == 0
+    raise AssemblyError(  # pragma: no cover - Branch rejects the name
+        f"unknown branch instruction {name!r}")
+
+
+# The code-generation table: one Python expression per mnemonic, which
+# the execution engine and the batch drivers emit.  Operands are
+# register locals or literals holding words below 2**64, so the
+# expressions compute :func:`operate` and :func:`branch_taken` exactly
+# (the semantics tests hold them to it at the word edges).  A literal
+# operand folds at compile time: CPython turns ``8 * (5 & 7)`` into 40.
+_M = str(WORD_MASK)
+_S = str(_SIGN_BIT)
+
+#: The value of each operate over the operands ``{a}`` and ``{b}``.
+#: Compares are ``int``-valued, as the register file holds them.
+OPERATE_PY: dict[str, str] = {
+    "ADDQ": "({a} + {b}) & " + _M,
+    "SUBQ": "({a} - {b}) & " + _M,
+    "MULQ": "({a} * {b}) & " + _M,
+    "AND": "{a} & {b}",
+    "BIS": "{a} | {b}",
+    "XOR": "{a} ^ {b}",
+    "SLL": "({a} << ({b} & 63)) & " + _M,
+    "SRL": "{a} >> ({b} & 63)",
+    "CMPEQ": "1 if {a} == {b} else 0",
+    "CMPULT": "1 if {a} < {b} else 0",
+    "CMPULE": "1 if {a} <= {b} else 0",
+    "EXTBL": "({a} >> (8 * ({b} & 7))) & 0xFF",
+    "EXTWL": "({a} >> (8 * ({b} & 7))) & 0xFFFF",
+    "EXTLL": "({a} >> (8 * ({b} & 7))) & 0xFFFFFFFF",
+}
+
+#: The taken-test of each conditional branch on the register ``{s}``;
+#: registers are ints, so truthiness is exactly ``!= 0``.
+BRANCH_PY: dict[str, str] = {
+    "BEQ": "not {s}",
+    "BNE": "{s}",
+    "BGE": "{s} < " + _S,
+    "BLT": "{s} >= " + _S,
+    "BGT": "0 < {s} < " + _S,
+    "BLE": "{s} >= " + _S + " or {s} == 0",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,6 +336,27 @@ def block_partition(program: Program) -> list[tuple[int, int]]:
             leaders.add(pc + 1)
     starts = sorted(leaders)
     return list(zip(starts, starts[1:] + [size]))
+
+
+def block_exits(program: Program, end: int) -> tuple[int | None, int | None]:
+    """The successor pcs of the block ending at ``end`` (exclusive), as
+    ``(taken, fall_through)``.
+
+    ``taken`` is the target of a terminating ``BR`` or conditional
+    branch; ``fall_through`` is ``end`` when control can run on into the
+    next leader (a conditional branch not taken, or a block cut by the
+    next leader).  Each is ``None`` where the block has no such exit —
+    both for ``RET``.  Either may lie outside the program, where the
+    machines fault.
+    """
+    last = program[end - 1]
+    if isinstance(last, Ret):
+        return None, None
+    if isinstance(last, Br):
+        return branch_target(end - 1, last), None
+    if isinstance(last, Branch):
+        return branch_target(end - 1, last), end
+    return None, end
 
 
 def written_register(instruction: Instruction) -> int | None:

@@ -5,8 +5,10 @@ This stands in for the paper's DEC Alpha 3000/600.  It executes programs
 (alignment traps and, in this model, access to unmapped memory, standing in
 for the MMU).  PCC binaries run here at full speed; the SFI and
 safe-language baselines run here too, paying for their extra instructions;
-the abstract machine (:mod:`repro.alpha.abstract`) subclasses the stepping
-logic and adds the paper's rd()/wr() checks.
+the abstract machine (:mod:`repro.alpha.abstract`) is this machine with
+the paper's rd()/wr() checks passed as its ``check_read``/``check_write``
+hooks.  Each step applies the one statement of the instruction semantics,
+:func:`repro.alpha.isa.operate` and :func:`~repro.alpha.isa.branch_taken`.
 
 Memory is a set of mapped regions, each a bytearray at a base address —
 enough to model a packet buffer, a scratch area, and a kernel table without
@@ -23,9 +25,9 @@ from typing import Callable
 
 from repro.alpha.isa import (
     NUM_REGS,
+    WORD_MASK,
     Br,
     Branch,
-    Instruction,
     Lda,
     Ldah,
     Ldq,
@@ -34,11 +36,10 @@ from repro.alpha.isa import (
     Program,
     Ret,
     Stq,
+    branch_taken,
+    operate,
 )
 from repro.errors import MachineError
-
-WORD_MASK = (1 << 64) - 1
-_SIGN_BIT = 1 << 63
 
 #: A safety-check hook: called with ``(address, pc)`` before a memory
 #: access, raises to block execution.
@@ -174,11 +175,6 @@ class MachineResult:
     cycles: int           # cost-model cycles (see repro.perf.cost)
 
 
-def _sext16(value: int) -> int:
-    value &= 0xFFFF
-    return value - 0x10000 if value & 0x8000 else value
-
-
 class Machine:
     """Executes a program on registers + memory, counting instructions.
 
@@ -251,35 +247,33 @@ class Machine:
                     b = instruction.rb.value
                 else:
                     b = regs[instruction.rb.index]
-                regs[instruction.rc.index] = _operate(instruction.name, a, b)
+                regs[instruction.rc.index] = operate(instruction.name, a, b)
                 pc += 1
             elif isinstance(instruction, Ldq):
                 address = (regs[instruction.rs.index]
-                           + _sext16(instruction.disp)) & WORD_MASK
+                           + instruction.disp) & WORD_MASK
                 if check_read is not None:
                     check_read(address, pc)
                 regs[instruction.rd.index] = memory.load_quad(address)
                 pc += 1
             elif isinstance(instruction, Stq):
                 address = (regs[instruction.rd.index]
-                           + _sext16(instruction.disp)) & WORD_MASK
+                           + instruction.disp) & WORD_MASK
                 if check_write is not None:
                     check_write(address, pc)
                 memory.store_quad(address, regs[instruction.rs.index])
                 pc += 1
             elif isinstance(instruction, Lda):
                 regs[instruction.rd.index] = (
-                    regs[instruction.rs.index]
-                    + _sext16(instruction.disp)) & WORD_MASK
+                    regs[instruction.rs.index] + instruction.disp) & WORD_MASK
                 pc += 1
             elif isinstance(instruction, Ldah):
                 regs[instruction.rd.index] = (
                     regs[instruction.rs.index]
-                    + (_sext16(instruction.disp) << 16)) & WORD_MASK
+                    + (instruction.disp << 16)) & WORD_MASK
                 pc += 1
             elif isinstance(instruction, Branch):
-                if _branch_taken(instruction.name,
-                                 regs[instruction.rs.index]):
+                if branch_taken(instruction.name, regs[instruction.rs.index]):
                     pc = pc + 1 + instruction.offset
                 else:
                     pc += 1
@@ -289,54 +283,3 @@ class Machine:
                 return MachineResult(regs[0], steps, cycles)
             else:  # pragma: no cover - exhaustive over Instruction
                 raise MachineError(f"cannot execute {instruction!r}")
-
-
-def _operate(name: str, a: int, b: int) -> int:
-    """Semantics of the operate instructions on 64-bit words."""
-    if name == "ADDQ":
-        return (a + b) & WORD_MASK
-    if name == "SUBQ":
-        return (a - b) & WORD_MASK
-    if name == "MULQ":
-        return (a * b) & WORD_MASK
-    if name == "AND":
-        return a & b
-    if name == "BIS":
-        return a | b
-    if name == "XOR":
-        return a ^ b
-    if name == "SLL":
-        return (a << (b & 63)) & WORD_MASK
-    if name == "SRL":
-        return a >> (b & 63)
-    if name == "CMPEQ":
-        return 1 if a == b else 0
-    if name == "CMPULT":
-        return 1 if a < b else 0
-    if name == "CMPULE":
-        return 1 if a <= b else 0
-    if name == "EXTBL":
-        return (a >> (8 * (b & 7))) & 0xFF
-    if name == "EXTWL":
-        return (a >> (8 * (b & 7))) & 0xFFFF
-    if name == "EXTLL":
-        return (a >> (8 * (b & 7))) & 0xFFFFFFFF
-    raise MachineError(f"unknown operate {name!r}")  # pragma: no cover
-
-
-def _branch_taken(name: str, value: int) -> bool:
-    """Branch predicates; BGE/BLT/BGT/BLE test the signed interpretation."""
-    signed_negative = bool(value & _SIGN_BIT)
-    if name == "BEQ":
-        return value == 0
-    if name == "BNE":
-        return value != 0
-    if name == "BGE":
-        return not signed_negative
-    if name == "BLT":
-        return signed_negative
-    if name == "BGT":
-        return not signed_negative and value != 0
-    if name == "BLE":
-        return signed_negative or value == 0
-    raise MachineError(f"unknown branch {name!r}")  # pragma: no cover

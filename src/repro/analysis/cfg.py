@@ -17,8 +17,10 @@ Recovery follows the textbook recipe:
   the execution engine and the batch drivers also use (leaders: pc 0,
   every in-range branch target, and every instruction following a
   control transfer);
-* **edges** — fall-through plus taken targets; ``RET`` has no
-  successors; out-of-range targets become fault exits, not edges;
+* **edges** — :func:`repro.alpha.isa.block_exits`, the successor rule
+  the engine and the batch drivers also use: fall-through plus taken
+  targets; ``RET`` has no successors; out-of-range targets become
+  fault exits, not edges;
 * **reachability** — forward DFS from the entry block;
 * **dominators** — iterative dataflow over reachable blocks in reverse
   post order;
@@ -36,14 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.alpha.isa import (
-    Br,
-    Branch,
-    Program,
-    Ret,
-    block_partition,
-    branch_target,
-)
+from repro.alpha.isa import Program, block_exits, block_partition
 
 
 @dataclass(frozen=True)
@@ -234,33 +229,17 @@ def build_cfg(program: Program) -> ControlFlowGraph:
     for rank, (start, end) in enumerate(partition):
         for pc in range(start, end):
             block_of[pc] = rank
-        terminator = program[end - 1]
+        taken, fall_through = block_exits(program, end)
         successors: list[int] = []
         faults: list[int] = []
-        falls_off = False
-        if isinstance(terminator, Ret):
-            pass
-        elif isinstance(terminator, Br):
-            target = branch_target(end - 1, terminator)
-            if 0 <= target < size:
-                successors.append(index_of_start[target])
+        if taken is not None:
+            if 0 <= taken < size:
+                successors.append(index_of_start[taken])
             else:
-                faults.append(target)
-        elif isinstance(terminator, Branch):
-            target = branch_target(end - 1, terminator)
-            if 0 <= target < size:
-                successors.append(index_of_start[target])
-            else:
-                faults.append(target)
-            if end < size:
-                successors.append(index_of_start[end])
-            else:
-                falls_off = True
-        else:
-            if end < size:
-                successors.append(index_of_start[end])
-            else:
-                falls_off = True
+                faults.append(taken)
+        falls_off = fall_through == size
+        if fall_through is not None and not falls_off:
+            successors.append(index_of_start[fall_through])
         # A branch whose taken target IS the fall-through (offset 0)
         # yields the same successor twice; the edge set is deduplicated.
         blocks.append(BasicBlock(rank, start, end,

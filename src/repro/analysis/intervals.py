@@ -11,16 +11,17 @@ half-ranges: ``signed >= 0`` is ``[0, 2**63 - 1]`` and ``signed < 0`` is
 ``[2**63, 2**64 - 1]``, so no separate signed domain is needed.
 
 Soundness discipline — every transfer function over-approximates the
-concrete operator in :func:`repro.alpha.machine._operate`:
+concrete operator, :func:`repro.alpha.isa.operate`, which it applies
+exactly when both operands are constants:
 
 * wrap-around arithmetic (``ADDQ``/``SUBQ``/``LDA``/``LDAH``) maps the
   exact unbounded-endpoint interval through ``mod 2**64``; if the image
   is not contiguous, the result is ``TOP``;
 * bit operations use the standard bounds (``AND`` shrinks below the
   smaller upper bound, ``BIS``/``XOR`` stay below the next power of
-  two), exact when both operands are singletons;
-* comparisons and byte extracts fold to singletons when the operand
-  intervals decide them;
+  two);
+* comparisons fold to singletons when the operand intervals decide
+  them;
 * loads return ``TOP`` (memory contents are not tracked).
 
 The fixpoint engine is a worklist over the CFG with **widening**: a
@@ -48,6 +49,7 @@ from typing import Mapping, NamedTuple
 
 from repro.alpha.isa import (
     NUM_REGS,
+    WORD_MASK,
     Branch,
     Instruction,
     Lda,
@@ -58,14 +60,14 @@ from repro.alpha.isa import (
     Program,
     Ret,
     Stq,
+    block_exits,
+    operate,
 )
-from repro.alpha.machine import _sext16
 from repro.analysis.cfg import BasicBlock, ControlFlowGraph, build_cfg
 from repro.filters.packets import MAX_FRAME, MIN_FRAME
 from repro.filters.policy import PACKET_BASE, SCRATCH_BASE, SCRATCH_SIZE
 from repro.vcgen.policy import SafetyPolicy
 
-WORD_MASK = (1 << 64) - 1
 _SIGN = 1 << 63
 
 
@@ -145,14 +147,14 @@ def _bitlen_bound(a: Interval, b: Interval) -> int:
     return (1 << max(a.hi.bit_length(), b.hi.bit_length())) - 1
 
 
-def _extract(a: Interval, b: Interval, width_mask: int) -> Interval:
-    if a.is_constant and b.is_constant:
-        return const((a.lo >> (8 * (b.lo & 7))) & width_mask)
-    return Interval(0, min(a.hi, width_mask))
+#: The width mask of each byte-lane extract.
+_EXTRACT_MASKS = {"EXTBL": 0xFF, "EXTWL": 0xFFFF, "EXTLL": 0xFFFFFFFF}
 
 
 def operate_interval(name: str, a: Interval, b: Interval) -> Interval:
-    """Abstract counterpart of :func:`repro.alpha.machine._operate`."""
+    """Abstract counterpart of :func:`repro.alpha.isa.operate`."""
+    if a.is_constant and b.is_constant:
+        return const(operate(name, a.lo, b.lo))
     if name == "ADDQ":
         return _wrap(a.lo + b.lo, a.hi + b.hi)
     if name == "SUBQ":
@@ -160,20 +162,12 @@ def operate_interval(name: str, a: Interval, b: Interval) -> Interval:
     if name == "MULQ":
         if a.hi * b.hi <= WORD_MASK:
             return Interval(a.lo * b.lo, a.hi * b.hi)
-        if a.is_constant and b.is_constant:
-            return const(a.lo * b.lo)
         return TOP
     if name == "AND":
-        if a.is_constant and b.is_constant:
-            return const(a.lo & b.lo)
         return Interval(0, min(a.hi, b.hi))
     if name == "BIS":
-        if a.is_constant and b.is_constant:
-            return const(a.lo | b.lo)
         return Interval(max(a.lo, b.lo), _bitlen_bound(a, b))
     if name == "XOR":
-        if a.is_constant and b.is_constant:
-            return const(a.lo ^ b.lo)
         return Interval(0, _bitlen_bound(a, b))
     if name == "SLL":
         if b.is_constant:
@@ -187,8 +181,6 @@ def operate_interval(name: str, a: Interval, b: Interval) -> Interval:
             return Interval(a.lo >> shift, a.hi >> shift)
         return Interval(0, a.hi)
     if name == "CMPEQ":
-        if a.is_constant and b.is_constant:
-            return const(1 if a.lo == b.lo else 0)
         if a.hi < b.lo or b.hi < a.lo:
             return ZERO
         return BIT
@@ -204,12 +196,8 @@ def operate_interval(name: str, a: Interval, b: Interval) -> Interval:
         if a.lo > b.hi:
             return ZERO
         return BIT
-    if name == "EXTBL":
-        return _extract(a, b, 0xFF)
-    if name == "EXTWL":
-        return _extract(a, b, 0xFFFF)
-    if name == "EXTLL":
-        return _extract(a, b, 0xFFFFFFFF)
+    if name in _EXTRACT_MASKS:
+        return Interval(0, min(a.hi, _EXTRACT_MASKS[name]))
     return TOP  # unknown operate: decode would have rejected it
 
 
@@ -221,10 +209,10 @@ def _rb_interval(state: State, rb) -> Interval:
 
 def address_interval(state: State, instruction: Ldq | Stq) -> Interval:
     """The abstract address of a memory access, wrap-exact like the
-    machine's ``(base + sext16(disp)) & WORD_MASK``."""
+    machine's ``(base + disp) & WORD_MASK``."""
     base = state[instruction.rs.index] if isinstance(instruction, Ldq) \
         else state[instruction.rd.index]
-    disp = _sext16(instruction.disp)
+    disp = instruction.disp
     return _wrap(base.lo + disp, base.hi + disp)
 
 
@@ -246,12 +234,12 @@ def transfer(state: State, instruction: Instruction) -> State:
         return _assign(state, instruction.rc.index, value)
     if isinstance(instruction, Lda):
         base = state[instruction.rs.index]
-        disp = _sext16(instruction.disp)
+        disp = instruction.disp
         return _assign(state, instruction.rd.index,
                        _wrap(base.lo + disp, base.hi + disp))
     if isinstance(instruction, Ldah):
         base = state[instruction.rs.index]
-        disp = _sext16(instruction.disp) << 16
+        disp = instruction.disp << 16
         return _assign(state, instruction.rd.index,
                        _wrap(base.lo + disp, base.hi + disp))
     if isinstance(instruction, Ldq):
@@ -504,7 +492,7 @@ def flow_block(cfg: ControlFlowGraph, block: BasicBlock, state: State
     terminator = cfg.program[block.end - 1]
     if isinstance(terminator, Branch):
         reg = terminator.rs.index
-        taken_target = block.end + terminator.offset
+        taken_target = block_exits(cfg.program, block.end)[0]
         edges = []
         for succ in block.successors:
             succ_start = cfg.blocks[succ].start

@@ -67,10 +67,11 @@ class LoadedExtension:
                max_steps: int = 1_000_000) -> "ExecutionEngine":
         """A reusable execution engine over the validated program.
 
-        This is the handle the dispatch runtime (:mod:`repro.runtime`)
-        keeps per extension: translation is paid once (and shared via
-        the engine's global code cache), after which every invocation is
-        the bare closure loop with zero checks.
+        Block compilation is paid once (and shared through the engine's
+        code cache), after which every invocation runs the compiled
+        blocks through the engine's one block loop with zero checks.
+        The dispatch runtime (:mod:`repro.runtime`) builds its own
+        engine the same way when it admits an extension.
         """
         from repro.alpha.engine import ExecutionEngine
 

@@ -13,6 +13,7 @@ from repro.alpha.isa import (
     Reg,
     Ret,
     Stq,
+    block_exits,
     branch_target,
     read_registers,
     written_register,
@@ -44,6 +45,15 @@ class TestRegisterMetadata:
     def test_branch_target(self):
         assert branch_target(5, Branch("BEQ", Reg(0), 3)) == 9
         assert branch_target(5, Br(-2)) == 4
+
+    def test_block_exits(self):
+        program = (Operate("ADDQ", Reg(1), Lit(1), Reg(1)),
+                   Branch("BEQ", Reg(1), 1), Br(-3), Ret(), Br(5))
+        assert block_exits(program, 1) == (None, 1)   # cut by a leader
+        assert block_exits(program, 2) == (3, 2)
+        assert block_exits(program, 3) == (0, None)
+        assert block_exits(program, 4) == (None, None)
+        assert block_exits(program, 5) == (10, None)  # leaves the program
 
 
 class TestConstructionGuards:

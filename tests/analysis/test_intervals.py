@@ -9,8 +9,7 @@ abstract one.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.alpha.isa import OPERATE_NAMES
-from repro.alpha.machine import _operate
+from repro.alpha.isa import OPERATE_NAMES, operate
 from repro.alpha.parser import parse_program
 from repro.analysis import analyze_intervals, packet_filter_context
 from repro.analysis.intervals import (
@@ -82,7 +81,7 @@ def test_operate_interval_over_approximates_machine(name, a, b):
     interval_a, value_a = a
     interval_b, value_b = b
     abstract = operate_interval(name, interval_a, interval_b)
-    concrete = _operate(name, value_a, value_b)
+    concrete = operate(name, value_a, value_b)
     assert concrete in abstract, \
         f"{name}: {value_a} op {value_b} = {concrete} not in {abstract}"
 
@@ -92,9 +91,9 @@ def test_operate_interval_over_approximates_machine(name, a, b):
        value=st.integers(min_value=0, max_value=WORD_MASK),
        taken=st.booleans())
 def test_branch_refinement_keeps_consistent_values(name, value, taken):
-    from repro.alpha.machine import _branch_taken
+    from repro.alpha.isa import branch_taken
 
-    if _branch_taken(name, value) != taken:
+    if branch_taken(name, value) != taken:
         return  # this concrete value does not take this edge
     state = (Interval(0, WORD_MASK),) * 11
     refined = refine_branch(state, name, 0, taken)

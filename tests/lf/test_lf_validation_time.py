@@ -41,10 +41,14 @@ def _validate_seconds(certified) -> float:
 
 class TestValidationScaling:
     def test_conditional_chains_stay_tame(self, filter_policy):
+        # The fastest of three timings per depth: one sample can double
+        # under host load.  Each call re-deserializes, and the checker's
+        # caches last for a single call, so no sample warms the next.
         times = {}
         for depth in (4, 8, 16):
             certified = certify(_chain(depth), filter_policy)
-            times[depth] = _validate_seconds(certified)
+            times[depth] = min(_validate_seconds(certified)
+                               for _ in range(3))
         # 4x the depth may not cost more than ~12x the time (roughly
         # linear with logging slack; exponential would be >1000x)
         assert times[16] < 12 * max(times[4], 0.005)

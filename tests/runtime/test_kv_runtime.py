@@ -6,9 +6,12 @@ adversarial trace leaves per-shard persistent state *bit-identical* to
 the pure-Python oracle, alongside every verdict and packet rewrite.
 """
 
+import sys
+
 import pytest
 
 from repro.alpha.batch import FramePlan, batch_capability, compile_batch
+from repro.alpha.isa import Branch, Reg, Ret
 from repro.analysis import context_for_policy, estimate_wcet
 from repro.filters.kv import (
     KV_INSERT,
@@ -106,6 +109,18 @@ def test_compile_batch_agrees_with_capability_probe():
     for program in programs:
         runner = compile_batch(program, ALPHA_175, plan)
         assert (runner is None) == (batch_capability(program) is not None)
+
+
+def test_block_graph_walk_is_not_recursive():
+    """Both entry points size the block graph first; a loop-free chain
+    of more blocks than the recursion limit must not raise there.  Each
+    ``BEQ r4, +0`` is its own block, taken and fall-through alike."""
+    depth = sys.getrecursionlimit() + 100
+    program = (Branch("BEQ", Reg(4), 0),) * depth + (Ret(),)
+    assert batch_capability(program) is None
+    runner = compile_batch(program, None,
+                           FramePlan(PACKET_BASE, SCRATCH_BASE, SCRATCH_SIZE))
+    assert runner.run([b""]) == (1, 0, [(depth + 1, 1)], None)
 
 
 def test_unproven_store_blob_rejected_without_downgrade(kv_policy,
