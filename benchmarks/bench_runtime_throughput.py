@@ -6,8 +6,8 @@ actually *serving* traffic runs many extensions over many packets on
 many cores.  This benchmark drives the full trace through
 :class:`repro.runtime.PacketRuntime` with all four paper filters
 attached and a cycle budget armed, at 1/2/4/8 shards under **both**
-shard backends (in-process threads and shared-nothing forked worker
-processes), and reports
+dispatch vehicles (serial dispatch in the calling process and
+shared-nothing forked worker processes), and reports
 
 * **modeled aggregate throughput** — packets over the busiest shard's
   cycle clock at the Alpha's 175 MHz.  Shards are modeled cores, so
@@ -19,8 +19,8 @@ processes), and reports
   >= 10x the pre-batch ~48k pps single-shard baseline at full trace
   length, and the process backend must actually scale on wall clocks
   (>= 2x from 1 to 4 shards) when the host has the cores for it —
-  threads stay GIL-flat on CPython, which is the regression this
-  bench now documents per row instead of averaging away;
+  serial dispatch runs the shards one after another, so its rows are
+  the flat baseline the forked rows are read against;
 * **verdict stability** — per-extension accept counts must be
   bit-identical at every shard count *and on every backend* (neither
   sharding nor the worker vehicle may change semantics), enforced
@@ -36,7 +36,7 @@ import os
 
 from repro.runtime import PacketRuntime, RuntimeConfig
 
-BACKENDS = ("thread", "process")
+BACKENDS = ("serial", "process")
 SHARD_COUNTS = (1, 2, 4, 8)
 
 #: Generous per-invocation cycle budget: enforcement is *on* (every
@@ -103,12 +103,12 @@ def test_runtime_throughput(benchmark, filter_policy, certified_filters,
 
     by_key = {(row["backend"], row["shards"]): row for row in rows}
     packets = rows[0]["packets"]
-    # Modeled scaling is backend-independent (same cycle clocks); keep
-    # the historical key computed from the thread rows.
-    scaling_4x = (by_key["thread", 4]["modeled_pps"]
-                  / by_key["thread", 1]["modeled_pps"])
-    scaling_8x = (by_key["thread", 8]["modeled_pps"]
-                  / by_key["thread", 1]["modeled_pps"])
+    # Modeled scaling is backend-independent (same cycle clocks), so
+    # it is computed from the serial rows.
+    scaling_4x = (by_key["serial", 4]["modeled_pps"]
+                  / by_key["serial", 1]["modeled_pps"])
+    scaling_8x = (by_key["serial", 8]["modeled_pps"]
+                  / by_key["serial", 1]["modeled_pps"])
     wall_scaling = {
         backend: {
             f"wall_scaling_1_to_{shards}":

@@ -61,12 +61,13 @@ Applicability: :func:`compile_batch` returns ``None`` — and callers fall
 back to :meth:`ExecutionEngine.run_batch` — for programs with stores
 (the scratch-is-zero folding would be wrong), loops (the tree would be
 infinite), step counts that could reach the engine's step limit, or
-inlined trees past a size cap.  One documented divergence remains:
-frames longer than the packet-to-scratch gap would make ``rebind``
-itself fault on region overlap before the engine ever ran, which the
-driver (which touches no :class:`Memory`) cannot reproduce; the runtime
-dispatches batches only under its frame contract (max 1518 bytes), far
-below the 64 KiB gap.
+inlined trees past a size cap.  Frames longer than the packet-to-
+scratch gap (64 KiB) are outside this equivalence: there ``rebind``
+itself faults on region overlap before the engine runs, which the
+driver (which touches no :class:`Memory`) does not model.  The runtime
+never hands it one: every dispatch path enforces the frame contract
+(``RuntimeConfig.max_frame_bytes``, 1518 bytes) before a frame reaches
+a shard.
 """
 
 from __future__ import annotations

@@ -155,7 +155,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         budget_slack=args.budget_slack,
         fault_threshold=args.fault_threshold,
         downgrade_unproven=args.downgrade,
-        enforce_contract=not args.no_contract,
     )
     if kv_mode:
         # The write-capable family needs the KV invocation contract:
@@ -217,7 +216,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         inject_faults(trace, fraction=args.inject_faults)
     report = runtime.serve(replay_trace(trace, args.repeat))
 
-    snapshot = runtime.snapshot()
+    snapshot = runtime.snapshot(extra={"backend": report.backend,
+                                       "wall_seconds": report.wall_seconds})
     model = config.cost_model
     print(f"\nserved {report.packets} packets over {config.shards} "
           f"shard(s), {report.backend} backend "
@@ -542,11 +542,11 @@ def main(argv: list[str] | None = None) -> int:
                          help="replay the trace N times")
     p_serve.add_argument("--seed", type=int, default=19961028)
     p_serve.add_argument("--shards", type=int, default=4)
-    p_serve.add_argument("--backend", choices=("thread", "process"),
-                         default="thread",
-                         help="shard worker vehicle: in-process threads "
-                              "(default) or shared-nothing forked "
-                              "processes")
+    p_serve.add_argument("--backend", choices=("serial", "process"),
+                         default="serial",
+                         help="run the shards serially in this process "
+                              "(default) or on shared-nothing forked "
+                              "workers")
     p_serve.add_argument("--batch-size", type=int, default=8192,
                          help="frames per dispatch chunk on the batched "
                               "hot path")
@@ -560,8 +560,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="consecutive faults before quarantine")
     p_serve.add_argument("--downgrade", action="store_true",
                          help="run unproven binaries on the checked tier")
-    p_serve.add_argument("--no-contract", action="store_true",
-                         help="do not drop contract-violating frames")
     p_serve.add_argument("--inject-faults", type=float, default=0.0,
                          metavar="FRACTION",
                          help="corrupt this fraction of the trace")

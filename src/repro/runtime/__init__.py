@@ -21,27 +21,23 @@ its supervised control plane:
 * :mod:`repro.runtime.chaos` — the fault-injection harness behind
   ``pcc chaos``: seeded faults at every layer, recovery invariants
   asserted (healthy verdict streams bit-identical under all faults);
-* :mod:`repro.runtime.backends` — shard execution backends for
-  :meth:`PacketRuntime.serve`: in-process threads or shared-nothing
-  forked worker processes with deterministic state merge — semantically
-  invisible either way;
+* :mod:`repro.runtime.backends` — the process backend for
+  :meth:`PacketRuntime.serve`: shared-nothing forked worker processes
+  with deterministic state merge, semantically invisible against the
+  serial default;
 * :mod:`repro.runtime.shard` — one modeled core: private reusable
-  memory, private cycle clock, the batched extension-major hot loop;
+  memory, private cycle clock, the one per-frame invocation
+  (:meth:`Shard.invoke`) and the batched extension-major hot loop;
 * :mod:`repro.runtime.extension` — per-extension state machine
   (ACTIVE → QUARANTINED → REINSTATED) and lock-free sharded counters;
 * :mod:`repro.runtime.telemetry` — exact latency histograms,
   percentiles and the JSON stats snapshot behind ``pcc serve --json``;
 * :mod:`repro.runtime.config` — :class:`RuntimeConfig` knobs (shards,
-  cycle budgets, fault thresholds, contract enforcement, canary and
-  supervisor policy).
+  backend, cycle budgets, fault thresholds, the frame contract, canary
+  and supervisor policy).
 """
 
-from repro.runtime.backends import (
-    ProcessBackend,
-    ShardBackend,
-    ThreadBackend,
-    get_backend,
-)
+from repro.runtime.backends import ProcessBackend
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.extension import ExtensionState, RuntimeExtension
 from repro.runtime.runtime import DispatchReport, PacketRuntime
@@ -77,14 +73,11 @@ __all__ = [
     "RuntimeExtension",
     "RuntimeSnapshot",
     "Shard",
-    "ShardBackend",
     "ShadowCanary",
     "ShardSupervisor",
     "SupervisorReport",
-    "ThreadBackend",
     "UpgradeRecord",
     "VersionState",
     "fault_reason",
-    "get_backend",
     "hist_percentile",
 ]

@@ -1,26 +1,21 @@
-"""Shard execution backends: how :meth:`PacketRuntime.serve` hosts its
-workers.
+"""The process backend: :meth:`PacketRuntime.serve` on forked workers.
 
-A backend owns exactly one decision — what vehicle runs each shard's
-``dispatch`` over its round-robin slice — and must be semantically
-invisible: verdicts, per-extension counters, cycle clocks, histograms,
-and quarantine transitions are bit-identical across backends and to the
-serial :meth:`PacketRuntime.dispatch` reference.  Only ``wall_seconds``
-(and the report's ``backend`` tag) may differ.
-
-``ThreadBackend`` is the historical behaviour: one in-process thread per
-shard.  Threads share the extension table, so runtime-wide quarantine is
-immediate; wall throughput is GIL-bound.
+``RuntimeConfig(backend="serial")`` (the default) makes ``serve`` the
+serial :meth:`PacketRuntime.dispatch`.  ``backend="process"`` hands it
+to :class:`ProcessBackend`, which must be semantically invisible:
+verdicts, per-extension counters, cycle clocks, histograms, and
+quarantine transitions are bit-identical to the serial reference.  Only
+``wall_seconds`` (and the report's ``backend`` tag) may differ.
 
 ``ProcessBackend`` forks one shared-nothing worker per shard.  Each
 child inherits (copy-on-write) the runtime it will serve — its shard's
 :class:`~repro.alpha.machine.Memory`, engines, batch runners, and the
-extension table — executes its slice exactly as a thread would, then
-ships back only the *state deltas*: shard clock and packet count, each
-extension's :class:`~repro.runtime.extension.ShardCounters` for that one
-shard, and the fault ledger.  The parent merges payloads **in shard-
-index order**, so the merged state is a pure function of the dispatch
-inputs, not of process scheduling:
+extension table — executes its slice exactly as serial dispatch would,
+then ships back only the *state deltas*: shard clock and packet count,
+each extension's :class:`~repro.runtime.extension.ShardCounters` for
+that one shard, and the fault ledger.  The parent merges payloads **in
+shard-index order**, so the merged state is a pure function of the
+dispatch inputs, not of process scheduling:
 
 * per-shard counters are disjoint by construction (shard ``i``'s worker
   is the only writer of ``shard_counters[i]``), so merging is assignment,
@@ -28,14 +23,13 @@ inputs, not of process scheduling:
   under any merge order;
 * ``consecutive_faults`` is runtime-wide in-process but per-worker in
   children; the merge takes the maximum — with faults on one shard only
-  (the deterministic case) that equals the threaded value exactly;
+  (the deterministic case) that equals the serial value exactly;
 * a child that quarantines an extension reports the transition as soon
   as it happens (not at join), and the parent relays a **deactivation**
-  to the other workers, who drain it between dispatch chunks — the same
-  "every shard skips it from the next packet on, modulo packets already
-  in flight" semantics threads get from writing ``active`` directly.
-  The parent then replays the state transition once, so ``quarantines``
-  counts each event exactly once, like the lock-guarded
+  to the other workers, who drain it between dispatch chunks: every
+  shard skips it from its next chunk on, modulo packets already in
+  flight.  The parent then replays the state transition once, so
+  ``quarantines`` counts each event exactly once, like the lock-guarded
   ``record_fault``.
 
 Budget semantics need no relaying at all: budgets are resolved at
@@ -44,15 +38,14 @@ admission and carried by the extension objects the children inherit.
 The process backend requires ``os.fork`` (POSIX).  Where it is missing,
 or while a canary upgrade is in flight (promotion mutates the shared
 extension table through a runtime-lock callback that cannot span
-processes), ``serve`` falls back to the thread backend — reported
-honestly via the report's ``backend`` field.
+processes), ``serve`` falls back to serial dispatch — reported honestly
+via the report's ``backend`` field.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
 import time
 from array import array
 from multiprocessing import Pipe
@@ -60,69 +53,23 @@ from multiprocessing.connection import wait
 
 from repro.runtime.runtime import DispatchReport
 
-__all__ = ["ProcessBackend", "ShardBackend", "ThreadBackend",
-           "get_backend"]
+__all__ = ["ProcessBackend"]
 
 
-class ShardBackend:
-    """Interface: run every shard's slice of ``frames`` to completion."""
-
-    name = "abstract"
-
-    def serve(self, runtime, frames) -> DispatchReport:
-        raise NotImplementedError
-
-
-class ThreadBackend(ShardBackend):
-    """One in-process worker thread per shard (the GIL-bound baseline)."""
-
-    name = "thread"
-
-    def serve(self, runtime, frames) -> DispatchReport:
-        frames = list(frames)
-        kept, drops = runtime._apply_contract(frames)
-        runtime.contract_drops += drops
-        extensions = runtime.extensions
-        shards = runtime.shards
-        count = len(shards)
-        before = [shard.cycles for shard in shards]
-        workers = [
-            threading.Thread(
-                target=shard.dispatch,
-                args=(kept[index::count], extensions, runtime.policy),
-                name=f"pcc-shard-{index}", daemon=True)
-            for index, shard in enumerate(shards)
-        ]
-        started = time.perf_counter()
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        wall = time.perf_counter() - started
-        return DispatchReport(
-            packets=len(kept), contract_drops=drops, wall_seconds=wall,
-            shard_cycles=tuple(shard.cycles - prior for shard, prior
-                               in zip(shards, before)),
-            clock_mhz=runtime.config.cost_model.clock_mhz,
-            backend=self.name)
-
-
-class ProcessBackend(ShardBackend):
+class ProcessBackend:
     """One forked shared-nothing worker process per shard."""
 
     name = "process"
 
     def serve(self, runtime, frames) -> DispatchReport:
-        if not hasattr(os, "fork"):
-            return ThreadBackend().serve(runtime, frames)
         extensions = runtime.extensions
-        if any(extension.canary is not None for extension in extensions):
-            # Promotion/rollback runs a runtime-lock callback that must
-            # mutate the one true extension table; see module docstring.
-            return ThreadBackend().serve(runtime, frames)
-        frames = list(frames)
+        if not hasattr(os, "fork") or any(
+                extension.canary is not None for extension in extensions):
+            # A canary's promotion/rollback runs a runtime-lock callback
+            # that must mutate the one true extension table; see the
+            # module docstring.
+            return runtime.dispatch(frames)
         kept, drops = runtime._apply_contract(frames)
-        runtime.contract_drops += drops
         shards = runtime.shards
         count = len(shards)
         before = [shard.cycles for shard in shards]
@@ -298,23 +245,9 @@ class ProcessBackend(ShardBackend):
                             and delta["state"] is ExtensionState.QUARANTINED]
             if quarantining and extension.active:
                 # Replay the transition exactly once, as record_fault's
-                # lock-guarded `self.active` check does for threads.
+                # lock-guarded `self.active` check does in-process.
                 first = quarantining[0]
                 extension.state = first["state"]
                 extension.active = False
                 extension.quarantines += 1
 
-
-_BACKENDS = {
-    ThreadBackend.name: ThreadBackend,
-    ProcessBackend.name: ProcessBackend,
-}
-
-
-def get_backend(name: str) -> ShardBackend:
-    """Resolve a backend by its config name ("thread" or "process")."""
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        raise ValueError(f"unknown shard backend {name!r} "
-                         f"(known: {sorted(_BACKENDS)})")
-    return backend()

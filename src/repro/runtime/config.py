@@ -23,11 +23,11 @@ from repro.runtime.versions import CanaryConfig
 class RuntimeConfig:
     """Knobs for :class:`repro.runtime.PacketRuntime`.
 
-    ``shards``            modeled cores (worker threads or processes in
-                          :meth:`serve`, per ``backend``)
-    ``backend``           how :meth:`serve` hosts its shard workers:
-                          ``"thread"`` (default; in-process, shares the
-                          GIL) or ``"process"`` (shared-nothing forked
+    ``shards``            modeled cores (one forked worker each when
+                          :meth:`serve` runs on the process backend)
+    ``backend``           how :meth:`serve` runs the shards:
+                          ``"serial"`` (default; :meth:`dispatch` in the
+                          caller) or ``"process"`` (shared-nothing forked
                           workers, one per shard, merged deterministically
                           on join — see :mod:`repro.runtime.backends`)
     ``batch_size``        frames per dispatch chunk on the batched hot
@@ -52,9 +52,11 @@ class RuntimeConfig:
                           never quarantines
     ``downgrade_unproven``  admit proof-less binaries onto the *checked*
                           abstract-machine path instead of rejecting
-    ``enforce_contract``  drop frames outside [min_frame_bytes,
-                          max_frame_bytes] at the boundary — the kernel's
-                          half of the precondition bargain (r2 >= 64)
+    ``min_frame_bytes``   the frame contract, always enforced: every
+    ``max_frame_bytes``   dispatch path drops (and counts) frames outside
+                          [min_frame_bytes, max_frame_bytes] — the
+                          kernel's half of the precondition bargain
+                          (r2 >= 64)
     ``canary``            default :class:`~repro.runtime.versions
                           .CanaryConfig` for :meth:`PacketRuntime
                           .upgrade` (overridable per upgrade)
@@ -76,14 +78,13 @@ class RuntimeConfig:
     """
 
     shards: int = 1
-    backend: str = "thread"
+    backend: str = "serial"
     batch_size: int = 8192
     cycle_budget: int | str | None = None
     budget_slack: float = 0.0
     prescreen: bool = False
     fault_threshold: int | None = 3
     downgrade_unproven: bool = False
-    enforce_contract: bool = True
     min_frame_bytes: int = MIN_FRAME
     max_frame_bytes: int = MAX_FRAME
     cost_model: AlphaCostModel = field(default_factory=lambda: ALPHA_175)
@@ -102,9 +103,9 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("need at least one shard")
-        if self.backend not in ("thread", "process"):
+        if self.backend not in ("serial", "process"):
             raise ValueError(
-                f"backend must be 'thread' or 'process'; "
+                f"backend must be 'serial' or 'process'; "
                 f"got {self.backend!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")

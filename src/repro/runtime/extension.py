@@ -9,7 +9,8 @@ access patterns:
   so the hot path takes no locks.  A snapshot merges the shards — and
   because histogram merge is plain addition, the merge is associative
   and deterministic regardless of worker interleaving or whether the
-  shards lived in threads or in forked worker processes.
+  shards ran in the caller, on supervised worker threads, or in forked
+  worker processes.
 * **the state machine** (ACTIVE → QUARANTINED → REINSTATED) changes only
   on faults and operator action, so transitions sit behind a lock and
   the dispatch loop reads a single ``active`` boolean.

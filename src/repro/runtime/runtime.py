@@ -82,8 +82,10 @@ class DispatchReport:
     shard_cycles: tuple[int, ...]
     clock_mhz: float
     records: list[dict] | None = None
-    #: Which execution vehicle produced this report: "serial"
-    #: (:meth:`dispatch`), "thread", or "process" (:meth:`serve`).
+    #: Which execution vehicle produced this report: "serial" (the
+    #: caller's own thread: :meth:`dispatch`, and :meth:`serve` on the
+    #: serial backend or a process-backend fallback) or "process"
+    #: (forked workers, :meth:`serve` only).
     backend: str = "serial"
 
     @property
@@ -414,9 +416,7 @@ class PacketRuntime:
         The semantics reference for :meth:`serve`: identical verdicts
         and counters, packet order preserved in the collected records.
         """
-        frames = list(frames)
         kept, drops = self._apply_contract(frames)
-        self.contract_drops += drops
         extensions = self.extensions
         shards = self.shards
         count = len(shards)
@@ -441,20 +441,23 @@ class PacketRuntime:
             clock_mhz=self.config.cost_model.clock_mhz, records=records)
 
     def serve(self, frames) -> DispatchReport:
-        """Parallel dispatch: one worker per shard, frames interleaved
-        round-robin so the modeled cores stay balanced.
+        """Dispatch on the vehicle ``config.backend`` names.
 
-        ``config.backend`` picks the worker vehicle: ``"thread"`` (one
-        in-process thread per shard, GIL-bound wall clock) or
-        ``"process"`` (shared-nothing forked workers whose counters are
-        merged deterministically on join) — see
-        :mod:`repro.runtime.backends`.  Verdicts, cycle clocks, and
-        per-extension counters are bit-identical across backends and to
-        :meth:`dispatch`; only ``wall_seconds`` depends on the vehicle.
+        ``"serial"`` is :meth:`dispatch` itself.  ``"process"`` forks one
+        shared-nothing worker per shard, frames interleaved round-robin
+        so the modeled cores stay balanced, and merges their counters
+        deterministically on join (see :mod:`repro.runtime.backends`);
+        without ``os.fork``, or while a canary is in flight, it falls
+        back to :meth:`dispatch`.  Verdicts, cycle clocks, and
+        per-extension counters are bit-identical either way; only
+        ``wall_seconds`` and the report's ``backend`` tag depend on the
+        vehicle.
         """
-        from repro.runtime.backends import get_backend
+        if self.config.backend == "process":
+            from repro.runtime.backends import ProcessBackend
 
-        return get_backend(self.config.backend).serve(self, frames)
+            return ProcessBackend().serve(self, frames)
+        return self.dispatch(frames)
 
     def serve_supervised(self, frames, fault_hook=None):
         """Dispatch under the shard supervisor: bounded per-shard
@@ -480,14 +483,18 @@ class PacketRuntime:
         self.last_supervisor_report = report
         return report
 
-    def _apply_contract(self, frames: list) -> tuple[list, int]:
-        config = self.config
-        if not config.enforce_contract:
-            return frames, 0
-        low = config.min_frame_bytes
-        high = config.max_frame_bytes
+    def _apply_contract(self, frames) -> tuple[list, int]:
+        """Keep the kernel's half of the precondition bargain (the
+        contract promises ``r2 >= 64``): drop and count every frame
+        outside [min_frame_bytes, max_frame_bytes].  Returns ``(kept,
+        drops)``."""
+        frames = list(frames)
+        low = self.config.min_frame_bytes
+        high = self.config.max_frame_bytes
         kept = [frame for frame in frames if low <= len(frame) <= high]
-        return kept, len(frames) - len(kept)
+        drops = len(frames) - len(kept)
+        self.contract_drops += drops
+        return kept, drops
 
     # -- telemetry --------------------------------------------------------
 

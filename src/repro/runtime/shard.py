@@ -8,15 +8,17 @@ core: dispatching a packet advances it by the invocation's cost-model
 cycles, so N shards fed disjoint packet slices model N cores draining
 the stream in parallel.  Runtime-wide modeled throughput is therefore
 ``packets / (busiest clock / frequency)`` regardless of how many host
-threads the simulation itself gets — the same cycles-first metric
+cores the simulation itself gets — the same cycles-first metric
 discipline as :mod:`repro.perf`.
 
 The dispatch chain runs every *active* extension over every packet (the
 kernel-tap model: think several attached packet filters, each getting
-its own look).  PCC-proven extensions run on the shared unchecked
-engine; downgraded extensions run on this shard's checked engine, whose
-rd()/wr() hooks consult predicates rebound per packet from the policy's
-``make_checkers``.
+its own look).  One invocation is stated once, in :meth:`Shard.invoke`:
+PCC-proven extensions run on the shared unchecked engine; downgraded
+extensions run on this shard's checked engine, whose rd()/wr() hooks
+consult predicates rebound per packet from the policy's
+``make_checkers``.  The frame-major loop and the shadow canary both
+call it.
 
 Dispatch is **extension-major and batched** on the throughput path: each
 chunk of frames runs through one extension at a time via its compiled
@@ -64,8 +66,8 @@ class Shard:
         # must never move the live clock, or rollback would not restore
         # bit-identical modeled throughput.
         self.canary_cycles = 0
-        # Checked-path predicates, rebound per packet by _bind_checkers;
-        # the per-shard checked engines' decode-time hooks delegate here.
+        # Checked-path predicates, rebound per packet by invoke; the
+        # per-shard checked engines' decode-time hooks delegate here.
         self._can_read = None
         self._can_write = None
 
@@ -77,14 +79,29 @@ class Shard:
     def can_write(self, address: int) -> bool:
         return self._can_write is not None and self._can_write(address)
 
-    def bind_checkers(self, policy, registers: dict[int, int]) -> None:
-        """Derive this packet's rd()/wr() predicates from the policy's
-        semantic interpretation (the abstract machine's view)."""
-        if policy.make_checkers is None:
-            self._can_read = self._can_write = None
-            return
-        self._can_read, self._can_write = policy.make_checkers(
-            registers, self.memory.load_quad)
+    # -- one invocation --------------------------------------------------
+
+    def invoke(self, extension, frame: bytes, policy):
+        """Run ``extension`` once on ``frame`` in this shard's memory.
+
+        Rebinds the packet region, builds the entry registers, derives
+        the checked tier's rd()/wr() predicates from the policy's
+        semantic interpretation (the abstract machine's view), and runs
+        the engine under the budget resolved at admission.  Returns the
+        engine's result; a fault propagates as :class:`MachineError`.
+        """
+        self.rebind(frame)
+        registers = self.registers_fn(len(frame))
+        if extension.checked:
+            if policy.make_checkers is None:
+                self._can_read = self._can_write = None
+            else:
+                self._can_read, self._can_write = policy.make_checkers(
+                    registers, self.memory.load_quad)
+            engine = extension.shard_engines[self.index]
+        else:
+            engine = extension.engine
+        return engine.run(self.memory, registers, extension.cycle_budget)
 
     # -- the hot loop ----------------------------------------------------
 
@@ -171,12 +188,8 @@ class Shard:
                          collect: bool) -> list[dict] | None:
         """The frame-major reference loop: checked tier, canary
         shadowing, and verdict collection."""
-        config = self.config
-        threshold = config.fault_threshold
+        threshold = self.config.fault_threshold
         shard_index = self.index
-        rebind = self.rebind
-        registers_fn = self.registers_fn
-        memory = self.memory
         records = [] if collect else None
         for frame in frames:
             verdicts = {} if collect else None
@@ -184,19 +197,9 @@ class Shard:
                 if not extension.active:
                     continue
                 counters = extension.shard_counters[shard_index]
-                rebind(frame)
-                registers = registers_fn(len(frame))
-                if extension.checked:
-                    self.bind_checkers(policy, registers)
-                    engine = extension.shard_engines[shard_index]
-                else:
-                    engine = extension.engine
                 counters.packets_in += 1
-                # Budgets are per extension, resolved at admission
-                # (fixed config value or WCET-derived under "auto").
-                budget = extension.cycle_budget
                 try:
-                    result = engine.run(memory, registers, budget)
+                    result = self.invoke(extension, frame, policy)
                 except MachineError as error:
                     counters.faults += 1
                     if isinstance(error, BudgetExceeded):

@@ -1,12 +1,12 @@
 """The shard supervisor: crash-restart, bounded ingress, load shedding.
 
-:meth:`PacketRuntime.serve` trusts its worker threads absolutely — a
-worker that dies takes its packet slice with it, and an unbounded frame
-list is handed to each shard up front.  This module is the production
-posture: each shard gets a **bounded ingress queue** and a worker thread
-that drains it, while a supervisor thread health-checks the workers and
-**restarts crashed ones** (bounded restarts, exponential backoff).  The
-recovery invariants, enforced by the chaos suite:
+:meth:`PacketRuntime.serve` trusts its shards absolutely — an error
+mid-slice ends the call, and an unbounded frame list is handed to each
+shard up front.  This module is the production posture: each shard
+gets a **bounded ingress queue** and a worker thread that drains it,
+while a supervisor thread health-checks the workers and **restarts
+crashed ones** (bounded restarts, exponential backoff).  The recovery
+invariants, enforced by the chaos suite:
 
 * a crash loses no packets and reorders none — the packet a worker died
   on is pushed back to the *front* of its queue, and per-shard order is
@@ -27,11 +27,11 @@ a healthy supervised run produces bit-identical verdicts and counters
 (and identical modeled cycles — supervision is host-side machinery and
 costs zero modeled time).
 
-Supervised serve is **thread-only** by design: crash-restart works by
-re-running the dispatch callable on a fresh worker thread against
-shared queues and a shared extension table, none of which can span a
-forked worker.  ``serve_supervised`` therefore ignores
-``RuntimeConfig.backend`` — the process backend
+Supervised serve runs its workers on **threads** by design: they exist
+for crash-restart, which works by re-running the dispatch callable on a
+fresh worker thread against shared queues and a shared extension table,
+none of which can span a forked worker.  ``serve_supervised`` therefore
+ignores ``RuntimeConfig.backend`` — the process backend
 (:mod:`repro.runtime.backends`) applies to plain :meth:`PacketRuntime
 .serve` only, where a worker's whole slice is handed over up front and
 merged on join.
@@ -299,8 +299,7 @@ class ShardSupervisor:
     def run(self, frames) -> SupervisorReport:
         runtime = self.runtime
         config = self.config
-        kept, drops = runtime._apply_contract(list(frames))
-        runtime.contract_drops += drops
+        kept, drops = runtime._apply_contract(frames)
         self.extensions = runtime.extensions
         count = len(self.workers)
         before = [worker.shard.cycles for worker in self.workers]

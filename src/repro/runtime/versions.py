@@ -12,8 +12,9 @@ that upgrade path:
   **shadow canary**: the live version keeps serving every packet and its
   verdicts remain authoritative; the candidate additionally runs on a
   configurable sample of the stream, its verdicts compared but never
-  used.  Shadow execution rebinds the shard memory per invocation
-  exactly like live dispatch, so the candidate cannot perturb the live
+  used.  Shadow execution is the live invocation,
+  :meth:`~repro.runtime.shard.Shard.invoke`, which rebinds the shard
+  memory per invocation, so the candidate cannot perturb the live
   stream — rollback therefore restores bit-identical verdicts *by
   construction*, not by replay.
 * After ``promote_after`` sampled packets with agreeing verdicts and no
@@ -124,7 +125,9 @@ class UpgradeRecord:
 class ShadowCanary:
     """One in-flight upgrade: the candidate version running in shadow.
 
-    Thread-safety: :meth:`consider` is called from shard worker threads.
+    Thread-safety: under :meth:`~repro.runtime.PacketRuntime
+    .serve_supervised`, :meth:`consider` is called from shard worker
+    threads.
     Sampling RNGs are per shard (each touched only by its own worker);
     the clean/divergence ledger and the state transition sit behind one
     lock, and the decision (promote or roll back) fires exactly once, in
@@ -178,30 +181,14 @@ class ShadowCanary:
                 self.skipped += 1
             return
 
-        candidate = self.candidate
-        shard.rebind(frame)
-        registers = shard.registers_fn(len(frame))
-        if candidate.checked:
-            shard.bind_checkers(policy, registers)
-            engine = candidate.shard_engines[shard.index]
-        else:
-            engine = candidate.engine
-        counters = candidate.shard_counters[shard.index]
-        counters.packets_in += 1
-        budget = candidate.cycle_budget
         try:
-            result = engine.run(shard.memory, registers, budget)
+            result = shard.invoke(self.candidate, frame, policy)
         except MachineError as error:
-            counters.faults += 1
             self._observe(clean=False,
                           reason=f"candidate fault: {fault_reason(error)}")
             return
-        counters.cycles += result.cycles
-        hist = counters.cycle_hist
-        hist[result.cycles] = hist.get(result.cycles, 0) + 1
         shard.canary_cycles += result.cycles
         verdict = bool(result.value)
-        counters.accepted += verdict
         if verdict != live_verdict:
             self._observe(clean=False,
                           reason=f"verdict divergence (live={live_verdict}, "

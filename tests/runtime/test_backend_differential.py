@@ -3,11 +3,12 @@ change semantics.
 
 Three layers of the same claim, each checked property-based:
 
-* **backends** — serial :meth:`PacketRuntime.dispatch`, the thread
-  backend, and the forked process backend must produce bit-identical
-  snapshots (verdicts, counters, cycle clocks, histograms/percentiles,
-  fault ledgers, quarantine transitions) on the same frames, including
-  traces that inject faults (budget overruns, checked-tier violations);
+* **backends** — serial :meth:`PacketRuntime.dispatch` and the forked
+  process backend must produce bit-identical snapshots (verdicts,
+  counters, cycle clocks, histograms/percentiles, fault ledgers,
+  quarantine transitions) on the same frames, including traces that
+  inject faults (budget overruns, checked-tier violations), and the
+  process backend's fallbacks must be serial dispatch;
 * **batch vs per-frame** — :meth:`ExecutionEngine.run_batch` must equal
   the per-frame ``run`` dispatch protocol on *arbitrary*
   machine programs (loops, wild loads, stores, step limits), not just
@@ -18,13 +19,15 @@ Three layers of the same claim, each checked property-based:
   (empty, unaligned, sub-contract lengths) and budgets.
 
 Multi-shard runs with faults in flight are only *end-state* comparable:
-the instant of the quarantine flip is scheduling-dependent on every
-backend (threads read ``active`` once per chunk too), so those tests pin
-the converged state, while strict bit-identity tests pin ``shards=1``.
+serial dispatch runs the shards' slices one after another while forked
+workers run them at once and learn of a remote quarantine between
+chunks, so the instant of the flip differs; those tests pin the
+converged state, while strict bit-identity tests pin ``shards=1``.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -42,9 +45,11 @@ from repro.filters.policy import (
     filter_registers,
     reusable_packet_memory,
 )
+from repro.filters.programs import FILTER1
 from repro.filters.trace import TraceConfig, generate_trace
+from repro.pcc import certify
 from repro.perf.cost import ALPHA_175
-from repro.runtime import PacketRuntime, RuntimeConfig
+from repro.runtime import CanaryConfig, PacketRuntime, RuntimeConfig
 
 from tests.generators import random_filter_source, random_machine_program
 
@@ -59,6 +64,11 @@ DEGENERATE_FRAMES = [
 ]
 
 frame_strategy = st.binary(min_size=0, max_size=96)
+
+#: filter1 plus a no-op: new bytes, same verdicts — an upgrade to it
+#: stays in flight until it promotes.
+FILTER1_NOOP = (FILTER1.source.rstrip().rsplit("RET", 1)[0]
+                + "ADDQ r3, 0, r3\nRET\n")
 
 
 def _attach_all(runtime, blobs):
@@ -105,15 +115,12 @@ def _dispatch_on(policy, blobs, frames, *, shards=1, cycle_budget=None,
 def test_backends_bit_identical_on_random_traces(
         filter_policy, filter_blobs, seed, packets, shards, extra):
     """Fault-free traffic: full snapshot equality at any shard count,
-    serial vs thread vs process, including out-of-contract drops."""
+    serial vs process, including out-of-contract drops."""
     frames = generate_trace(TraceConfig(packets=packets, seed=seed)) + extra
     serial = _dispatch_on(filter_policy, filter_blobs, frames,
                           shards=shards)
-    threaded = _serve_on("thread", filter_policy, filter_blobs, frames,
-                         shards=shards)
     forked = _serve_on("process", filter_policy, filter_blobs, frames,
                        shards=shards)
-    assert _fingerprint(serial) == _fingerprint(threaded)
     assert _fingerprint(serial) == _fingerprint(forked)
 
 
@@ -129,11 +136,8 @@ def test_backends_bit_identical_under_budget_faults(
     frames = generate_trace(TraceConfig(packets=40, seed=seed))
     serial = _dispatch_on(filter_policy, filter_blobs, frames,
                           cycle_budget=budget, fault_threshold=threshold)
-    threaded = _serve_on("thread", filter_policy, filter_blobs, frames,
-                         cycle_budget=budget, fault_threshold=threshold)
     forked = _serve_on("process", filter_policy, filter_blobs, frames,
                        cycle_budget=budget, fault_threshold=threshold)
-    assert _fingerprint(serial) == _fingerprint(threaded)
     assert _fingerprint(serial) == _fingerprint(forked)
 
 
@@ -143,19 +147,15 @@ def test_backends_bit_identical_on_checked_tier_faults(
         filter_policy, filter_blobs, rogue_blob, seed, threshold):
     """A downgraded rogue faulting on its first packets: the checked
     tier's wr-violation ledger and the quarantine flip are identical
-    serial vs thread vs process at one shard."""
+    serial vs process at one shard."""
     blobs = {"filter1": filter_blobs["filter1"], "rogue": rogue_blob}
     frames = generate_trace(TraceConfig(packets=25, seed=seed))
     serial = _dispatch_on(filter_policy, blobs, frames,
                           fault_threshold=threshold,
                           downgrade_unproven=True)
-    threaded = _serve_on("thread", filter_policy, blobs, frames,
-                         fault_threshold=threshold,
-                         downgrade_unproven=True)
     forked = _serve_on("process", filter_policy, blobs, frames,
                        fault_threshold=threshold,
                        downgrade_unproven=True)
-    assert _fingerprint(serial) == _fingerprint(threaded)
     assert _fingerprint(serial) == _fingerprint(forked)
     rogue = next(ext for ext in serial.extensions if ext.name == "rogue")
     assert rogue.state == "quarantined"
@@ -174,7 +174,7 @@ def test_multishard_quarantine_converges_identically(
     blobs = {"filter2": filter_blobs["filter2"], "rogue": rogue_blob}
     frames = generate_trace(TraceConfig(packets=60, seed=seed))
     states = {}
-    for backend in ("thread", "process"):
+    for backend in ("serial", "process"):
         snapshot = _serve_on(backend, filter_policy, blobs, frames,
                              shards=shards, fault_threshold=2,
                              downgrade_unproven=True)
@@ -189,7 +189,45 @@ def test_multishard_quarantine_converges_identically(
         assert healthy.faults == 0
         states[backend] = (healthy.accepted, healthy.cycles,
                            snapshot.contract_drops)
-    assert states["thread"] == states["process"]
+    assert states["serial"] == states["process"]
+
+
+@pytest.mark.parametrize("backend", ["fork", "Serial", ""])
+def test_backend_is_serial_or_process(backend):
+    with pytest.raises(ValueError, match="'serial' or 'process'"):
+        RuntimeConfig(backend=backend)
+
+
+@pytest.mark.parametrize("cause", ["canary in flight", "no os.fork"])
+def test_process_backend_falls_back_to_serial_dispatch(
+        filter_policy, filter_blobs, monkeypatch, cause):
+    """The process backend's two fallbacks serve on the caller: the
+    report says so, and the runtime ends exactly where ``dispatch``
+    leaves a twin — snapshot, upgrade log and canary clocks."""
+    frames = generate_trace(TraceConfig(packets=120, seed=5))
+    candidate = certify(FILTER1_NOOP, filter_policy).binary.to_bytes()
+
+    def runtime_on(backend):
+        runtime = PacketRuntime(filter_policy, RuntimeConfig(
+            shards=2, backend=backend))
+        _attach_all(runtime, filter_blobs)
+        if cause == "canary in flight":
+            runtime.upgrade("filter1", candidate,
+                            CanaryConfig(promote_after=40))
+        return runtime
+
+    served, dispatched = runtime_on("process"), runtime_on("serial")
+    if cause == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    report = served.serve(frames)
+    dispatched.dispatch(frames)
+    assert report.backend == "serial"
+    got, want = served.snapshot(), dispatched.snapshot()
+    assert _fingerprint(got) == _fingerprint(want)
+    states = [record.state for record in served.upgrade_log]
+    assert states == [record.state for record in dispatched.upgrade_log]
+    assert states == (["promoted"] if cause == "canary in flight" else [])
+    assert got.canary_cycles == want.canary_cycles
 
 
 # -- batch vs per-frame --------------------------------------------------

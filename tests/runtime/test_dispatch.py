@@ -1,7 +1,7 @@
 """Dispatch semantics: sharding may never change what a filter decides.
 
 The reference is the pure-Python oracles: every verdict out of the
-runtime — any shard count, serial or threaded — must match them
+runtime — any shard count, serial or forked — must match them
 bit-for-bit, because the runtime runs the *same* certified code over the
 *same* frames; shards only change which modeled core does the work.
 """
@@ -45,19 +45,20 @@ def test_sharding_preserves_verdict_stream(filter_policy, filter_blobs,
 
 def test_serve_matches_dispatch_counters(filter_policy, filter_blobs,
                                          small_trace):
-    """The threaded path and the serial reference agree on every
+    """The forked path and the serial reference agree on every
     counter: accepts, faults, per-shard packet counts and cycle clocks."""
     frames = small_trace[:PACKETS]
     snapshots = []
-    for method in ("dispatch", "serve"):
-        runtime = PacketRuntime(filter_policy, RuntimeConfig(shards=4))
+    for method, backend in (("dispatch", "serial"), ("serve", "process")):
+        runtime = PacketRuntime(filter_policy, RuntimeConfig(
+            shards=4, backend=backend))
         _attach_all(runtime, filter_blobs)
         getattr(runtime, method)(frames)
         snapshots.append(runtime.snapshot())
-    serial, threaded = snapshots
-    assert serial.faults == threaded.faults == 0
-    assert serial.shard_cycles == threaded.shard_cycles
-    for left, right in zip(serial.extensions, threaded.extensions):
+    serial, forked = snapshots
+    assert serial.faults == forked.faults == 0
+    assert serial.shard_cycles == forked.shard_cycles
+    for left, right in zip(serial.extensions, forked.extensions):
         assert left.name == right.name
         assert left.accepted == right.accepted
         assert left.cycles == right.cycles

@@ -102,6 +102,8 @@ class TestCli:
         payload = json.loads(stats.read_text())
         assert payload["shards"] == 2
         assert len(payload["extensions"]) == 4
+        assert payload["backend"] == "serial"
+        assert payload["wall_seconds"] > 0
 
     def test_serve_rejects_then_downgrades(self, tmp_path, capsys):
         from repro.alpha.encoding import encode_program
