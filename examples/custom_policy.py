@@ -25,7 +25,8 @@ from repro.alpha.machine import Memory
 from repro.errors import CertificationError
 from repro.logic.formulas import Forall, Implies, conj, eq, ge, lt, rd, wr
 from repro.logic.terms import Var, add64, and64
-from repro.pcc import CodeConsumer, CodeProducer, certify
+from repro.pcc import certify
+from repro.pcc.api import CodeConsumer, CodeProducer
 from repro.vcgen.policy import SafetyPolicy, word_identity
 
 OUT_SIZE = 64

@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.filters import FILTERS, TraceConfig, generate_trace
 from repro.filters.policy import packet_filter_policy
-from repro.pcc import CodeConsumer, CodeProducer
+from repro.pcc.api import CodeConsumer, CodeProducer
 from repro.perf import ALPHA_175, run_figure8
 
 

@@ -26,7 +26,8 @@ from repro.filters.policy import packet_filter_policy
 from repro.logic.formulas import Forall, Implies, conj, eq, ge, lt, rd
 from repro.logic.pretty import pp_formula
 from repro.logic.terms import Var, add64, and64
-from repro.pcc import accept_policy, certify, propose_policy, validate
+from repro.pcc import certify, validate
+from repro.pcc.negotiate import accept_policy, propose_policy
 from repro.vcgen.policy import word_identity
 
 

@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.alpha.machine import Memory
 from repro.errors import ValidationError
 from repro.logic.pretty import pp_formula
-from repro.pcc import CodeConsumer, CodeProducer
+from repro.pcc.api import CodeConsumer, CodeProducer
 from repro.vcgen.policy import resource_access_policy
 
 # The paper's Figure 5, verbatim (with its deliberate low-level tricks:

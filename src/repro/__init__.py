@@ -9,25 +9,21 @@ safe language).
 
 Most users want the high-level API:
 
->>> from repro.pcc import CodeProducer, CodeConsumer
+>>> from repro.pcc.api import CodeProducer, CodeConsumer
 >>> from repro.vcgen.policy import resource_access_policy
 
 See README.md for the tour, DESIGN.md for the system inventory, and
 EXPERIMENTS.md for paper-versus-measured results.
 """
 
+import sys
+
 __version__ = "1.0.0"
 
-__all__ = [
-    "alpha",
-    "baselines",
-    "errors",
-    "filters",
-    "lf",
-    "logic",
-    "pcc",
-    "perf",
-    "proof",
-    "prover",
-    "vcgen",
-]
+# Safety predicates, invariants and proofs nest hundreds of connectives,
+# and the VC generator, the LF checker and the prover all walk them with
+# plain CPython recursion.  The limit is raised here, in the one module
+# the consumer and the producer both import, so a verdict never depends
+# on whether the process also loaded the prover.
+if sys.getrecursionlimit() < 20_000:
+    sys.setrecursionlimit(20_000)

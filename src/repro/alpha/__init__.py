@@ -17,56 +17,3 @@ the byte-manipulation and compare instructions the hand-tuned filters need):
   basic-block functions for the perf harness, with the block that would
   cross the step limit stepped on the reference machine.
 """
-
-from repro.alpha.isa import (
-    NUM_REGS,
-    Lit,
-    Reg,
-    Operate,
-    Lda,
-    Ldah,
-    Ldq,
-    Stq,
-    Branch,
-    Br,
-    Ret,
-    Instruction,
-    Program,
-    OPERATE_NAMES,
-    BRANCH_NAMES,
-)
-from repro.alpha.parser import parse_program, format_program
-from repro.alpha.encoding import encode_program, decode_program
-from repro.alpha.machine import Machine, Memory, MachineResult
-from repro.alpha.abstract import AbstractMachine, abstract_engine, run_abstract
-from repro.alpha.engine import ExecutionEngine, compile_program
-
-__all__ = [
-    "NUM_REGS",
-    "Lit",
-    "Reg",
-    "Operate",
-    "Lda",
-    "Ldah",
-    "Ldq",
-    "Stq",
-    "Branch",
-    "Br",
-    "Ret",
-    "Instruction",
-    "Program",
-    "OPERATE_NAMES",
-    "BRANCH_NAMES",
-    "parse_program",
-    "format_program",
-    "encode_program",
-    "decode_program",
-    "Machine",
-    "Memory",
-    "MachineResult",
-    "AbstractMachine",
-    "abstract_engine",
-    "run_abstract",
-    "ExecutionEngine",
-    "compile_program",
-]

@@ -18,53 +18,20 @@ same no-run-time-checks spirit:
   fast-reject path, plus :func:`analyze_program` bundling every pass.
 """
 
-from repro.analysis.cfg import (
-    BasicBlock,
-    ControlFlowGraph,
-    NaturalLoop,
-    build_cfg,
-)
+from repro.analysis.cfg import build_cfg
 from repro.analysis.intervals import (
-    TOP,
     AnalysisContext,
-    Interval,
-    IntervalAnalysis,
-    MemoryAccess,
     analyze_intervals,
     checksum_context,
     context_for_policy,
     packet_filter_context,
 )
-from repro.analysis.lint import Diagnostic, LintReport, lint_program
-from repro.analysis.prescreen import (
-    AnalysisReport,
-    PrescreenResult,
-    analyze_program,
-    prescreen_blob,
-)
-from repro.analysis.wcet import (
-    MAX_LOOP_ITERATIONS,
-    LoopBound,
-    WcetReport,
-    estimate_wcet,
-)
+from repro.analysis.lint import lint_program
+from repro.analysis.prescreen import analyze_program, prescreen_blob
+from repro.analysis.wcet import estimate_wcet
 
 __all__ = [
     "AnalysisContext",
-    "AnalysisReport",
-    "BasicBlock",
-    "ControlFlowGraph",
-    "Diagnostic",
-    "Interval",
-    "IntervalAnalysis",
-    "LintReport",
-    "LoopBound",
-    "MAX_LOOP_ITERATIONS",
-    "MemoryAccess",
-    "NaturalLoop",
-    "PrescreenResult",
-    "TOP",
-    "WcetReport",
     "analyze_intervals",
     "analyze_program",
     "build_cfg",

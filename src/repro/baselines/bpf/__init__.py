@@ -12,50 +12,36 @@ The four paper filters are provided as idiomatic BPF programs in
 """
 
 from repro.baselines.bpf.isa import (
-    BpfInstruction,
     ld_w_abs,
     ld_h_abs,
     ld_b_abs,
     ld_w_ind,
-    ld_h_ind,
-    ld_b_ind,
-    ld_len,
     ld_imm,
     ldx_imm,
     ldx_msh,
-    ldx_len,
     st,
     stx,
     alu_add_k,
     alu_and_k,
-    alu_or_k,
     alu_rsh_k,
-    alu_lsh_k,
     jmp_ja,
     jeq,
-    jgt,
-    jge,
-    jset,
     ret_k,
     ret_a,
     tax,
     txa,
 )
 from repro.baselines.bpf.verify import verify_bpf
-from repro.baselines.bpf.interp import BpfInterpreter, BpfRunStats
+from repro.baselines.bpf.interp import BpfInterpreter
 from repro.baselines.bpf.programs import BPF_FILTERS
 from repro.baselines.bpf.compile import compile_bpf
 
 __all__ = [
-    "BpfInstruction",
     "verify_bpf",
     "BpfInterpreter",
-    "BpfRunStats",
     "BPF_FILTERS",
     "compile_bpf",
-    "ld_w_abs", "ld_h_abs", "ld_b_abs", "ld_w_ind", "ld_h_ind",
-    "ld_b_ind", "ld_len", "ld_imm", "ldx_imm", "ldx_msh", "ldx_len",
-    "st", "stx", "alu_add_k", "alu_and_k", "alu_or_k", "alu_rsh_k",
-    "alu_lsh_k", "jmp_ja", "jeq", "jgt", "jge", "jset", "ret_k", "ret_a",
-    "tax", "txa",
+    "ld_w_abs", "ld_h_abs", "ld_b_abs", "ld_w_ind", "ld_imm", "ldx_imm",
+    "ldx_msh", "st", "stx", "alu_add_k", "alu_and_k", "alu_rsh_k",
+    "jmp_ja", "jeq", "ret_k", "ret_a", "tax", "txa",
 ]

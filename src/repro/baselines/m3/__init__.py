@@ -24,7 +24,6 @@ compiler" direction).
 """
 
 from repro.baselines.m3.lang import (
-    M3Expr,
     Const,
     Len,
     PacketByte,
@@ -37,7 +36,6 @@ from repro.baselines.m3.compile import compile_plain, compile_view
 from repro.baselines.m3.programs import M3_FILTERS, M3_VIEW_FILTERS
 
 __all__ = [
-    "M3Expr",
     "Const",
     "Len",
     "PacketByte",

@@ -20,69 +20,16 @@
   pure-Python oracles for verdicts *and* post-state.
 """
 
-from repro.filters.packets import (
-    ETHERTYPE_IP,
-    ETHERTYPE_ARP,
-    PROTO_TCP,
-    PROTO_UDP,
-    make_ethernet,
-    make_ip_packet,
-    make_arp_packet,
-    make_tcp_packet,
-    make_udp_packet,
-)
-from repro.filters.trace import (
-    KvTraceConfig,
-    TraceConfig,
-    generate_adversarial_trace,
-    generate_kv_trace,
-    generate_trace,
-)
-from repro.filters.kv import (
-    KV_PROGRAMS,
-    KvSpec,
-    kv_packet_policy,
-    kv_registers,
-    reusable_kv_memory,
-)
-from repro.filters.policy import (
-    PACKET_BASE,
-    SCRATCH_BASE,
-    SCRATCH_SIZE,
-    packet_filter_policy,
-    packet_memory,
-    filter_registers,
-)
-from repro.filters.programs import FILTERS, FilterSpec
+from repro.filters.trace import TraceConfig, generate_trace
+from repro.filters.policy import filter_registers, packet_memory
+from repro.filters.programs import FILTERS
 from repro.filters.oracle import ORACLES
 
 __all__ = [
-    "ETHERTYPE_IP",
-    "ETHERTYPE_ARP",
-    "PROTO_TCP",
-    "PROTO_UDP",
-    "make_ethernet",
-    "make_ip_packet",
-    "make_arp_packet",
-    "make_tcp_packet",
-    "make_udp_packet",
     "TraceConfig",
-    "KvTraceConfig",
     "generate_trace",
-    "generate_kv_trace",
-    "generate_adversarial_trace",
-    "KV_PROGRAMS",
-    "KvSpec",
-    "kv_packet_policy",
-    "kv_registers",
-    "reusable_kv_memory",
-    "PACKET_BASE",
-    "SCRATCH_BASE",
-    "SCRATCH_SIZE",
-    "packet_filter_policy",
     "packet_memory",
     "filter_registers",
     "FILTERS",
-    "FilterSpec",
     "ORACLES",
 ]

@@ -17,55 +17,3 @@ validation amounts to typechecking".  This package implements that stack:
 * :mod:`repro.lf.binary` — the binary wire format with its symbol table
   (the PCC binary's relocation + proof sections, Figure 7).
 """
-
-from repro.lf.syntax import (
-    LfApp,
-    LfConst,
-    LfInt,
-    LfLam,
-    LfPi,
-    LfTerm,
-    LfVar,
-    TYPE,
-    KIND,
-    lf_app,
-    lf_size,
-    normalize,
-)
-from repro.lf.typecheck import infer_type, check_proof_term
-from repro.lf.signature import SIGNATURE, Signature, SigEntry
-from repro.lf.encode import (
-    encode_term,
-    encode_formula,
-    encode_proof,
-    decode_logic_term,
-    decode_logic_formula,
-)
-from repro.lf.binary import serialize_lf, deserialize_lf
-
-__all__ = [
-    "LfApp",
-    "LfConst",
-    "LfInt",
-    "LfLam",
-    "LfPi",
-    "LfTerm",
-    "LfVar",
-    "TYPE",
-    "KIND",
-    "lf_app",
-    "lf_size",
-    "normalize",
-    "infer_type",
-    "check_proof_term",
-    "SIGNATURE",
-    "Signature",
-    "SigEntry",
-    "encode_term",
-    "encode_formula",
-    "encode_proof",
-    "decode_logic_term",
-    "decode_logic_formula",
-    "serialize_lf",
-    "deserialize_lf",
-]

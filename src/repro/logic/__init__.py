@@ -10,117 +10,3 @@ operands modulo 2**64 first, exactly mirroring the paper's definition
 ``e1 (+) e2 = (e1 + e2) mod 2**64``.  This choice makes the arithmetic axiom
 schemas in :mod:`repro.proof.rules` unconditionally sound.
 """
-
-from repro.logic.terms import (
-    WORD_BITS,
-    WORD_MASK,
-    WORD_MOD,
-    Int,
-    Var,
-    App,
-    Term,
-    add64,
-    sub64,
-    and64,
-    or64,
-    xor64,
-    sll64,
-    srl64,
-    mul64,
-    mod64,
-    add,
-    sub,
-    mul,
-    sel,
-    upd,
-    cmpeq,
-    cmpult,
-    cmpule,
-    extbl,
-    extwl,
-    extll,
-    term_vars,
-    eval_term,
-)
-from repro.logic.formulas import (
-    Formula,
-    Truth,
-    Falsity,
-    And,
-    Or,
-    Implies,
-    Forall,
-    Atom,
-    eq,
-    ne,
-    lt,
-    le,
-    gt,
-    ge,
-    rd,
-    wr,
-    conj,
-    formula_vars,
-    holds,
-)
-from repro.logic.subst import subst_term, subst_formula, rename_bound
-from repro.logic.simplify import simplify_term, simplify_formula
-from repro.logic.pretty import pp_term, pp_formula
-
-__all__ = [
-    "WORD_BITS",
-    "WORD_MASK",
-    "WORD_MOD",
-    "Int",
-    "Var",
-    "App",
-    "Term",
-    "add64",
-    "sub64",
-    "and64",
-    "or64",
-    "xor64",
-    "sll64",
-    "srl64",
-    "mul64",
-    "mod64",
-    "add",
-    "sub",
-    "mul",
-    "sel",
-    "upd",
-    "cmpeq",
-    "cmpult",
-    "cmpule",
-    "extbl",
-    "extwl",
-    "extll",
-    "term_vars",
-    "eval_term",
-    "Formula",
-    "Truth",
-    "Falsity",
-    "And",
-    "Or",
-    "Implies",
-    "Forall",
-    "Atom",
-    "eq",
-    "ne",
-    "lt",
-    "le",
-    "gt",
-    "ge",
-    "rd",
-    "wr",
-    "conj",
-    "formula_vars",
-    "holds",
-    "subst_term",
-    "subst_formula",
-    "rename_bound",
-    "simplify_term",
-    "simplify_formula",
-    "pp_term",
-    "pp_formula",
-]

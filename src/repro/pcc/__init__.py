@@ -3,7 +3,7 @@
 * :mod:`repro.pcc.container` — the PCC binary: native code, relocation
   (symbol table), proof, and loop-invariant sections, with the Figure 7
   layout accounting;
-* :mod:`repro.pcc.certify` — the producer: assemble, compute the safety
+* :mod:`repro.pcc.producer` — the producer: assemble, compute the safety
   predicate, prove it, encode the proof (the "compilation & certification"
   box of Figure 1);
 * :mod:`repro.pcc.validate` — the consumer: parse the untrusted container,
@@ -19,46 +19,22 @@
   unchanged obligations' subproofs from a content-addressed store
   (:mod:`repro.proof.store`), ship only the changed blocks' proofs, and
   fully revalidate the reassembled container before admission.
+
+The package exports two names.  :func:`validate` is the trusted core and
+is imported eagerly; importing it loads only the checker's own modules.
+:func:`certify` is resolved on first access, because the producer pulls
+in the prover.
 """
 
-from repro.pcc.container import PccBinary, SectionLayout
-from repro.pcc.certify import certify
-from repro.pcc.validate import validate, ValidationReport
-from repro.pcc.loader import (
-    BatchItem,
-    ExtensionLoader,
-    LoaderStats,
-    policy_fingerprint,
-)
-from repro.pcc.api import CodeProducer, CodeConsumer, LoadedExtension
-from repro.pcc.negotiate import PolicyProposal, propose_policy, accept_policy
-from repro.pcc.incremental import (
-    ProofPatch,
-    apply_patch,
-    block_diff,
-    certify_incremental,
-    obligation_digest,
-)
+from repro.pcc.validate import validate
 
-__all__ = [
-    "PccBinary",
-    "SectionLayout",
-    "certify",
-    "validate",
-    "ValidationReport",
-    "BatchItem",
-    "ExtensionLoader",
-    "LoaderStats",
-    "policy_fingerprint",
-    "CodeProducer",
-    "CodeConsumer",
-    "LoadedExtension",
-    "PolicyProposal",
-    "propose_policy",
-    "accept_policy",
-    "ProofPatch",
-    "apply_patch",
-    "block_diff",
-    "certify_incremental",
-    "obligation_digest",
-]
+__all__ = ["certify", "validate"]
+
+
+# No submodule may be named ``certify``: importing it would bind the
+# module to that package attribute, and this hook would never run.
+def __getattr__(name: str):
+    if name == "certify":
+        from repro.pcc.producer import certify
+        return certify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

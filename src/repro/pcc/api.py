@@ -23,9 +23,9 @@ from repro.alpha.isa import Program
 from repro.alpha.machine import Machine, MachineResult, Memory
 from repro.errors import ValidationError
 from repro.logic.formulas import Formula
-from repro.pcc.certify import CertificationResult, certify
 from repro.pcc.container import PccBinary
 from repro.pcc.loader import ExtensionLoader, LoaderStats
+from repro.pcc.producer import CertificationResult, certify
 from repro.pcc.validate import ValidationReport
 from repro.vcgen.policy import SafetyPolicy
 

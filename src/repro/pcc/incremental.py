@@ -47,7 +47,6 @@ from repro.lf.binary import deserialize_lf, serialize_lf
 from repro.lf.encode import decode_logic_formula, encode_formula, encode_proof
 from repro.lf.syntax import LfConst, LfTerm, lf_app, spine
 from repro.logic.formulas import And, Formula, Truth
-from repro.pcc.certify import canonicalize_invariants
 from repro.pcc.container import (
     PccBinary,
     _read_varint,
@@ -58,6 +57,7 @@ from repro.pcc.container import (
     unpack_proof,
 )
 from repro.pcc.loader import policy_fingerprint
+from repro.pcc.producer import canonicalize_invariants
 from repro.proof.checker import check_proof
 from repro.proof.store import (
     ProofStore,

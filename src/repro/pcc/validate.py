@@ -83,18 +83,20 @@ def validate(data: bytes | PccBinary, policy: SafetyPolicy,
             raise ValidationError(
                 f"native code section rejected: {error}") from error
 
+        # The stages below walk untrusted nesting with plain recursion, so
+        # input nested deeper than the stack allows is a rejection too.
         invariant_terms = unpack_invariants(binary.invariants)
         try:
             invariants = {pc: decode_logic_formula(term)
                           for pc, term in invariant_terms.items()}
-        except PccError as error:
+        except (PccError, RecursionError) as error:
             raise ValidationError(
                 f"invariant section rejected: {error}") from error
 
         try:
             predicate = safety_predicate(program, policy.precondition,
                                          policy.postcondition, invariants)
-        except PccError as error:
+        except (PccError, RecursionError) as error:
             raise ValidationError(
                 f"cannot compute safety predicate: {error}") from error
 
@@ -102,13 +104,13 @@ def validate(data: bytes | PccBinary, policy: SafetyPolicy,
         try:
             # A hostile invariant can leave variables with no LF binding.
             expected = LfApp(LfConst("pf"), encode_formula(predicate, {}, 0))
-        except PccError as error:
+        except (PccError, RecursionError) as error:
             raise ValidationError(
                 f"cannot encode safety predicate: {error}") from error
 
         try:
             check_proof_term(proof_term, expected, SIGNATURE)
-        except PccError as error:
+        except (PccError, RecursionError) as error:
             raise ValidationError(
                 f"proof does not validate: {error}") from error
     finally:

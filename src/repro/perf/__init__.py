@@ -14,9 +14,8 @@ checks, and BPF pays dispatch on every VM instruction.
 model from here, and the harness imports the baselines.)
 """
 
-from repro.perf.cost import AlphaCostModel, ALPHA_175, BPF_DISPATCH_CYCLES
+from repro.perf.cost import AlphaCostModel, ALPHA_175
 from repro.perf.amortize import (
-    AmortizationPoint,
     amortization_series,
     crossover,
     effective_startup,
@@ -26,22 +25,15 @@ from repro.perf.amortize import (
 __all__ = [
     "AlphaCostModel",
     "ALPHA_175",
-    "BPF_DISPATCH_CYCLES",
-    "ApproachResult",
-    "FilterBenchmark",
     "run_figure8",
-    "run_table1",
     "run_approach",
-    "APPROACHES",
-    "AmortizationPoint",
     "amortization_series",
     "crossover",
     "effective_startup",
     "reload_series",
 ]
 
-_HARNESS_NAMES = ("ApproachResult", "FilterBenchmark", "run_figure8",
-                  "run_table1", "run_approach", "APPROACHES")
+_HARNESS_NAMES = ("run_figure8", "run_approach")
 
 
 def __getattr__(name: str):

@@ -19,19 +19,3 @@ This checker and the LF type checker (:mod:`repro.lf`) are independent
 validators of the same proofs; the PCC pipeline uses LF (as in the paper)
 and the test suite cross-checks the two on every shipped proof.
 """
-
-from repro.proof.proofs import Proof, proof_size, proof_rules_used
-from repro.proof.checker import check_proof
-from repro.proof.store import ProofStore, ProofStoreStats, subproof_digest
-from repro.proof import rules
-
-__all__ = [
-    "Proof",
-    "proof_size",
-    "proof_rules_used",
-    "check_proof",
-    "rules",
-    "ProofStore",
-    "ProofStoreStats",
-    "subproof_digest",
-]

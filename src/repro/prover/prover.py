@@ -26,12 +26,6 @@ Design constraints worth knowing:
 from __future__ import annotations
 
 import itertools
-import sys
-
-# Safety predicates of long programs nest hundreds of connectives; plain
-# CPython recursion handles the structural walk, but needs headroom.
-if sys.getrecursionlimit() < 20_000:
-    sys.setrecursionlimit(20_000)
 
 from repro.errors import ProofError, ProverError
 from repro.logic.formulas import (

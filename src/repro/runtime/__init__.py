@@ -37,47 +37,20 @@ its supervised control plane:
   and supervisor policy).
 """
 
-from repro.runtime.backends import ProcessBackend
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.extension import ExtensionState, RuntimeExtension
-from repro.runtime.runtime import DispatchReport, PacketRuntime
-from repro.runtime.shard import Shard, fault_reason
-from repro.runtime.supervisor import (
-    IngressQueue,
-    InjectedCrash,
-    ShardSupervisor,
-    SupervisorReport,
-)
-from repro.runtime.telemetry import (
-    ExtensionSnapshot,
-    RuntimeSnapshot,
-    hist_percentile,
-)
-from repro.runtime.versions import (
-    CanaryConfig,
-    ShadowCanary,
-    UpgradeRecord,
-    VersionState,
-)
+from repro.runtime.extension import ExtensionState
+from repro.runtime.runtime import PacketRuntime
+from repro.runtime.supervisor import IngressQueue, InjectedCrash
+from repro.runtime.telemetry import hist_percentile
+from repro.runtime.versions import CanaryConfig, VersionState
 
 __all__ = [
     "CanaryConfig",
-    "DispatchReport",
-    "ExtensionSnapshot",
     "ExtensionState",
     "IngressQueue",
     "InjectedCrash",
     "PacketRuntime",
-    "ProcessBackend",
     "RuntimeConfig",
-    "RuntimeExtension",
-    "RuntimeSnapshot",
-    "Shard",
-    "ShadowCanary",
-    "ShardSupervisor",
-    "SupervisorReport",
-    "UpgradeRecord",
     "VersionState",
-    "fault_reason",
     "hist_percentile",
 ]

@@ -7,22 +7,3 @@ the concrete policies used in the paper: the resource-access service of §2
 and helpers shared by the packet-filter policy in
 :mod:`repro.filters.policy`.
 """
-
-from repro.vcgen.vcgen import (
-    REGISTER_VARS,
-    MEMORY_VAR,
-    compute_vc,
-    safety_predicate,
-    register_term,
-)
-from repro.vcgen.policy import SafetyPolicy, resource_access_policy
-
-__all__ = [
-    "REGISTER_VARS",
-    "MEMORY_VAR",
-    "compute_vc",
-    "safety_predicate",
-    "register_term",
-    "SafetyPolicy",
-    "resource_access_policy",
-]

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import CertificationError
 from repro.logic.formulas import Forall, Implies, conj, eq, ge, lt, rd
 from repro.logic.terms import Var, add64, and64
-from repro.pcc.certify import CertificationResult, canonicalize_invariants, certify
+from repro.pcc.producer import CertificationResult, canonicalize_invariants, certify
 from repro.vcgen.policy import resource_access_policy, word_identity
 from tests.conftest import RESOURCE_ACCESS_SOURCE
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.alpha.machine import Memory
 from repro.errors import CertificationError, ValidationError
-from repro.pcc import CodeConsumer, CodeProducer, certify, validate
+from repro.pcc import certify, validate
+from repro.pcc.api import CodeConsumer, CodeProducer
 from tests.conftest import RESOURCE_ACCESS_SOURCE
 
 

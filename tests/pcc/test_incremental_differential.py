@@ -30,7 +30,6 @@ from repro.filters.checksum import (
     multipass_checksum_source,
     multipass_invariants,
 )
-from repro.pcc.certify import certify
 from repro.pcc.container import PccBinary, unpack_proof
 from repro.pcc.incremental import (
     ProofPatch,
@@ -41,6 +40,7 @@ from repro.pcc.incremental import (
 )
 from repro.pcc.loader import ExtensionLoader
 from repro.pcc.mutate import mutants
+from repro.pcc.producer import certify
 from repro.pcc.validate import validate
 from repro.proof.store import ProofStore, subproof_digest
 from repro.alpha.parser import parse_program

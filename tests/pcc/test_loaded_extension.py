@@ -7,7 +7,7 @@ from repro.alpha.machine import Memory
 from repro.filters.policy import filter_registers, packet_memory
 from repro.filters.programs import FILTERS
 from repro.filters.trace import TraceConfig, generate_trace
-from repro.pcc import CodeConsumer, CodeProducer
+from repro.pcc.api import CodeConsumer, CodeProducer
 from repro.perf.cost import ALPHA_175
 
 

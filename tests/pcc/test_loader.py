@@ -159,7 +159,7 @@ class TestBatchSmoke:
 
     def test_batch_results_feed_consumer_install(self, filter_policy,
                                                  certified_filters):
-        from repro.pcc import CodeConsumer
+        from repro.pcc.api import CodeConsumer
 
         blobs = [certified_filters[name].binary.to_bytes()
                  for name in ("filter1", "filter4")]
@@ -172,7 +172,7 @@ class TestBatchSmoke:
 
     def test_consumer_install_reuses_cache(self, resource_policy,
                                            resource_blob):
-        from repro.pcc import CodeConsumer
+        from repro.pcc.api import CodeConsumer
 
         consumer = CodeConsumer(resource_policy)
         first = consumer.install(resource_blob)
@@ -180,6 +180,39 @@ class TestBatchSmoke:
         assert second.report is first.report
         stats = consumer.loader_stats()
         assert stats.hits == 1 and stats.misses == 1
+
+
+class TestDeepNesting:
+    """A container nested past the interpreter stack is an ordinary
+    rejection: it neither raises out of the consumer nor costs its
+    batch-mates their verdicts or the pool a retry."""
+
+    @pytest.fixture(params=["proof", "invariant"])
+    def case(self, request, filter_policy, certified_filters):
+        from repro.filters.checksum import checksum_policy
+
+        if request.param == "proof":
+            return (filter_policy,
+                    certified_filters["filter1"].binary.to_bytes(),
+                    request.getfixturevalue("deep_proof_blob"))
+        return (checksum_policy(), request.getfixturevalue("checksum_blob"),
+                request.getfixturevalue("deep_invariant_blob"))
+
+    def test_try_install_returns_none(self, case):
+        from repro.pcc.api import CodeConsumer
+
+        policy, __, hostile = case
+        assert CodeConsumer(policy).try_install(hostile) is None
+
+    @pytest.mark.parametrize("processes", [0, 2])
+    def test_batch_keeps_the_good_verdict(self, case, processes):
+        policy, good, hostile = case
+        loader = ExtensionLoader(policy)
+        items = loader.validate_batch([good, hostile], processes=processes)
+        assert [item.ok for item in items] == [True, False]
+        assert items[1].error
+        stats = loader.stats()
+        assert (stats.pool_retries, stats.pool_fallbacks) == (0, 0)
 
 
 class TestEmptyAndEdgeBatches:

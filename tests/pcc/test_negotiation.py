@@ -11,7 +11,8 @@ from repro.errors import CertificationError, ValidationError
 from repro.filters.policy import packet_filter_policy
 from repro.logic.formulas import Forall, Implies, conj, eq, ge, lt, rd
 from repro.logic.terms import Var, add64, and64
-from repro.pcc import CodeConsumer, certify, validate
+from repro.pcc import certify, validate
+from repro.pcc.api import CodeConsumer
 from repro.pcc.negotiate import PolicyProposal, accept_policy, propose_policy
 from repro.vcgen.policy import SafetyPolicy, word_identity
 

@@ -107,6 +107,23 @@ class TestRejectionPaths:
             validate(mutant, policy)
 
 
+class TestDeepNesting:
+    """Nesting deeper than the interpreter stack allows is a rejection,
+    never an escaping ``RecursionError``."""
+
+    def test_proof_nested_past_the_stack(self, filter_policy,
+                                         deep_proof_blob):
+        with pytest.raises(ValidationError, match="proof does not validate"):
+            validate(deep_proof_blob, filter_policy)
+
+    def test_invariant_nested_past_the_stack(self, deep_invariant_blob):
+        from repro.filters.checksum import checksum_policy
+
+        with pytest.raises(ValidationError,
+                           match="cannot compute safety predicate"):
+            validate(deep_invariant_blob, checksum_policy())
+
+
 class TestAcceptancePath:
     def test_report_fields_complete(self, resource_policy,
                                     resource_certified):

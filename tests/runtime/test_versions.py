@@ -10,7 +10,8 @@ the first place.
 import pytest
 
 from repro.errors import PatchError, UnknownExtensionError, ValidationError
-from repro.pcc import certify, certify_incremental
+from repro.pcc import certify
+from repro.pcc.incremental import certify_incremental
 from repro.runtime import (
     CanaryConfig,
     PacketRuntime,
