@@ -11,7 +11,6 @@ once with the DAG-sharing proof representation (our default; one of the
 the naive tree encoding.  Sharing is what keeps the growth polynomial.
 """
 
-from repro.alpha.parser import parse_program
 from repro.lf.binary import serialize_lf
 from repro.lf.encode import encode_proof
 from repro.pcc import certify, validate

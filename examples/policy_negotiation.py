@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.errors import CertificationError, ValidationError
+from repro.errors import CertificationError
 from repro.filters.policy import packet_filter_policy
 from repro.logic.formulas import Forall, Implies, conj, eq, ge, lt, rd
 from repro.logic.pretty import pp_formula

@@ -40,7 +40,6 @@ from repro.baselines.bpf.isa import (
     BPF_ALU,
     BPF_AND,
     BPF_B,
-    BPF_DIV,
     BPF_H,
     BPF_IMM,
     BPF_IND,
@@ -58,14 +57,12 @@ from repro.baselines.bpf.isa import (
     BPF_MISC,
     BPF_MSH,
     BPF_MUL,
-    BPF_NEG,
     BPF_OR,
     BPF_RET,
     BPF_RSH,
     BPF_ST,
     BPF_STX,
     BPF_SUB,
-    BPF_TAX,
     BPF_TXA,
     BPF_W,
     BpfInstruction,

@@ -28,7 +28,6 @@ from typing import Callable
 
 from repro.baselines.bpf.isa import (
     BPF_A,
-    BPF_ABS,
     BPF_ADD,
     BPF_ALU,
     BPF_AND,

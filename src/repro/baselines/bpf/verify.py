@@ -13,8 +13,6 @@ from __future__ import annotations
 from repro.baselines.bpf.isa import (
     BPF_ALU,
     BPF_DIV,
-    BPF_IMM,
-    BPF_IND,
     BPF_JA,
     BPF_JEQ,
     BPF_JGE,
@@ -24,7 +22,6 @@ from repro.baselines.bpf.isa import (
     BPF_K,
     BPF_LD,
     BPF_LDX,
-    BPF_LEN,
     BPF_MEM,
     BPF_MEMWORDS,
     BPF_MISC,

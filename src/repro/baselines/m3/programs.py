@@ -17,7 +17,6 @@ from repro.baselines.m3.lang import (
     Bin,
     Const,
     If,
-    Len,
     M3Expr,
     PacketByte,
     ViewWord,

@@ -569,14 +569,15 @@ class _ProofEncoder:
             return lf_app(LfConst(f"{flag.op}_bool"),
                           T(flag.args[0]), T(flag.args[1]))
         if rule == "linarith":
-            premises = proof.params
-            premise_conj = conj(list(premises))
-            conj_lf = F(premise_conj)
+            premises = list(proof.params[:-1])
+            certificate = LfConst("cnil")
+            for weight in reversed(proof.params[-1]):
+                certificate = lf_app(LfConst("ccons"), LfInt(weight),
+                                     certificate)
             conj_proof = self._conjunction_proof(
-                list(premises), [P(i) for i in range(len(premises))],
-                env, depth)
-            return lf_app(LfConst("linarith"), conj_lf, F(goal),
-                          conj_proof)
+                premises, [P(i) for i in range(len(premises))], env, depth)
+            return lf_app(LfConst("linarith"), F(conj(premises)), F(goal),
+                          certificate, conj_proof)
         raise LfError(f"no LF encoding for rule {rule!r}")
 
     def _conjunction_proof(self, formulas: list[Formula],

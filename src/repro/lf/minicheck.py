@@ -142,6 +142,7 @@ class MiniChecker:
             if self.normalize(self.infer(term.ty, context)) != TYPE:
                 raise LfError("minicheck: lambda annotation not a type")
             body = self.infer(term.body, (term.ty,) + context)
+            self._check_saturated(term.body)
             return LfPi(term.ty, body)
         if isinstance(term, LfApp):
             fn_ty = self.normalize(self.infer(term.fn, context))
@@ -150,9 +151,25 @@ class MiniChecker:
             arg_ty = self.infer(term.arg, context)
             if not self.equal(arg_ty, fn_ty.dom):
                 raise LfError("minicheck: argument type mismatch")
+            self._check_saturated(term.arg)
             self._check_side_condition(term)
             return self.subst(fn_ty.cod, term.arg)
         raise LfError("minicheck: not a term")
+
+    def _check_saturated(self, term: LfTerm) -> None:
+        """Only the head of an application may be a side-conditioned
+        constant short of its arguments."""
+        args = 0
+        while isinstance(term, LfApp):
+            self._tick()
+            term, args = term.fn, args + 1
+        if not isinstance(term, LfConst):
+            return
+        entry = self.signature.entries.get(term.name)
+        if (entry is not None and entry.side_condition is not None
+                and args < entry.side_arity):
+            raise LfError(f"minicheck: {term.name!r} is not fully "
+                          f"applied")
 
     def _check_side_condition(self, application: LfApp) -> None:
         head: LfTerm = application

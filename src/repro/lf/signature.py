@@ -10,9 +10,12 @@ It declares:
 * one constant per inference rule.  Purely logical rules (and the
   arithmetic rules whose premises fully constrain them, like
   ``add64_exact``) are ordinary LF constants.  Schemas whose soundness
-  depends on *literal* values (mask disjointness, ground evaluation,
-  Fourier-Motzkin) carry a side condition: a decidable predicate on the
-  application spine, run by the type checker at every full application.
+  depends on *literal* values (mask disjointness, ground evaluation, the
+  weights of a ``linarith`` Farkas certificate) carry a side condition: a
+  decidable predicate on the application spine, run by the type checker
+  at every full application.  The checker accepts such a constant only
+  fully applied, so no proof can bind it to a variable and apply it
+  unchecked.
 
 Side conditions delegate to the same rule functions the Delta checker
 uses (:mod:`repro.proof.rules`), decoding the LF arguments back into logic
@@ -27,7 +30,6 @@ from typing import Callable, Sequence
 from repro.errors import LfError, ProofError
 from repro.lf.encode import decode_logic_formula, decode_logic_term
 from repro.lf.syntax import (
-    KIND,
     LfApp,
     LfConst,
     LfInt,
@@ -36,6 +38,7 @@ from repro.lf.syntax import (
     LfTerm,
     LfVar,
     TYPE,
+    spine,
 )
 from repro.logic.formulas import Atom, Truth, conjuncts
 from repro.logic.terms import App, OPS, WORD_MOD
@@ -108,6 +111,7 @@ _TM = LfConst("tm")
 _MEM = LfConst("mem")
 _FORM = LfConst("form")
 _PF = LfConst("pf")
+_CERT = LfConst("cert")
 
 
 def _pf(formula) -> LfTerm:
@@ -163,10 +167,24 @@ def _sc_linarith(args: Sequence[LfTerm]) -> bool:
             if not all(isinstance(part, Atom) for part in parts):
                 return False
             premises = tuple(parts)
-        RULES["linarith"](goal, premises, {})
+        RULES["linarith"](goal, premises + (_weights(args[2]),), {})
     except (LfError, ProofError):
         return False
     return True
+
+
+def _weights(cert: LfTerm) -> tuple[int, ...]:
+    """The literals of a ``ccons``/``cnil`` certificate spine."""
+    weights = []
+    head, args = spine(cert)
+    while head == LfConst("ccons") and len(args) == 2:
+        if not isinstance(args[0], LfInt):
+            raise LfError("certificate weights must be integer literals")
+        weights.append(args[0].value)
+        head, args = spine(args[1])
+    if head != LfConst("cnil") or args:
+        raise LfError("certificate must be a ccons/cnil spine")
+    return tuple(weights)
 
 
 def _mk_eq(a, b) -> Atom:
@@ -226,7 +244,7 @@ _SC = {
             App("or64", (App("and64", (_dt(a[0]), _dt(a[1]))), _dt(a[2]))),
             App("add64", (App("and64", (_dt(a[0]), _dt(a[1]))),
                           _dt(a[2]))))), 4),
-    "linarith": (_sc_linarith, 3),
+    "linarith": (_sc_linarith, 4),
 }
 
 
@@ -311,6 +329,7 @@ def _build_signature() -> Signature:
     declare("mem", TYPE)
     declare("form", TYPE)
     declare("pf", _arrow(_FORM, TYPE))
+    declare("cert", TYPE)
 
     # Term constructors, straight from the logic operator table.
     for op, spec in OPS.items():
@@ -512,8 +531,11 @@ def _build_signature() -> Signature:
             _app(LfConst("or"),
                  eq_f(flag, LfInt(0)), eq_f(flag, LfInt(1)))))))
 
-    declare("linarith", _pi("a", _FORM, _pi("c", _FORM, _arrow(
-        _pf(a), _pf(c)))), side="linarith")
+    # A Farkas certificate: the weights ``linarith`` checks.
+    declare("cnil", _CERT)
+    declare("ccons", _arrows(_TM, _CERT, _CERT))
+    declare("linarith", _pi("a", _FORM, _pi("c", _FORM, _arrows(
+        _CERT, _pf(a), _pf(c)))), side="linarith")
 
     return Signature(entries)
 

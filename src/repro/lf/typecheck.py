@@ -17,10 +17,11 @@ Performance notes (they do not affect what is accepted):
 
 One extension (documented in :mod:`repro.lf.signature`): signature
 constants may carry a *side condition*, a decidable predicate on the
-argument spine that is checked at every full application.  This implements
-the paper's "predicate calculus extended with two's-complement integer
-arithmetic" — the logical skeleton is pure LF, the arithmetic literals are
-checked computationally.
+argument spine that is checked at every full application, and such a
+constant may appear only fully applied.  This implements the paper's
+"predicate calculus extended with two's-complement integer arithmetic" —
+the logical skeleton is pure LF, the arithmetic literals are checked
+computationally.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ class _Checker:
     def __init__(self, signature: Signature, max_depth: int) -> None:
         self.signature = signature
         self.max_depth = max_depth
+        self._max_arity = max(entry.side_arity
+                              for entry in signature.entries.values())
         # Memo tables hold strong references to their keys, so ids stay
         # valid for the checker's lifetime.
         self._infer_memo: dict[tuple, tuple] = {}
@@ -169,6 +172,7 @@ class _Checker:
             if dom_sort != TYPE:
                 raise LfError("lambda annotation is not a type")
             body_ty = self.infer(term.body, (term.ty, ctx), depth + 1)
+            self._fully_applied(term.body)
             return LfPi(term.ty, body_ty, term.hint)
         if isinstance(term, LfApp):
             fn_ty = whnf(self.infer(term.fn, ctx, depth + 1))
@@ -177,9 +181,22 @@ class _Checker:
             arg_ty = self.infer(term.arg, ctx, depth + 1)
             if not self.equal(arg_ty, fn_ty.dom):
                 raise LfError("argument type mismatch")
+            self._fully_applied(term.arg)
             self._side_condition(term)
             return subst(fn_ty.cod, term.arg)
         raise LfError(f"not an LF term: {term!r}")
+
+    def _fully_applied(self, term: LfTerm) -> None:
+        """A guarded constant short of its arity, passed as an argument
+        or returned from a lambda, would reach its full application under
+        a variable head, where no side condition runs: reject it."""
+        count = 0
+        while isinstance(term, LfApp) and count < self._max_arity:
+            term, count = term.fn, count + 1
+        entry = (self.signature.entries.get(term.name)
+                 if isinstance(term, LfConst) else None)
+        if entry is not None and count < entry.side_arity:
+            raise LfError(f"{term.name!r} is not fully applied")
 
     def _side_condition(self, application: LfApp) -> None:
         head, args = spine(application)

@@ -62,7 +62,6 @@ from repro.proof.checker import check_proof
 from repro.proof.store import (
     ProofStore,
     frame_sections,
-    subproof_digest,
     unframe_sections,
 )
 from repro.prover import Prover

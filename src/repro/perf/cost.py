@@ -27,7 +27,7 @@ paper's numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.alpha.isa import (
     Br,

@@ -11,9 +11,9 @@ proves a given goal formula under the rules in :mod:`repro.proof.rules`:
 
 Each arithmetic rule is an axiom *schema* whose instances are verified by a
 small side-condition computation (e.g. evaluating a ground inequality, or
-checking a Fourier-Motzkin refutation for the ``linarith`` rule).  Every
-schema's unconditional soundness is property-tested by random instantiation
-in ``tests/proof/test_rule_soundness.py``.
+summing the rows of the Farkas certificate a ``linarith`` step carries).
+Every schema's unconditional soundness is property-tested by random
+instantiation in ``tests/proof/test_rule_soundness.py``.
 
 This checker and the LF type checker (:mod:`repro.lf`) are independent
 validators of the same proofs; the PCC pipeline uses LF (as in the paper)

@@ -20,10 +20,11 @@ paper shows ``impe`` (implication elimination) explicitly.
 **Two's-complement arithmetic** — axiom schemas with computable side
 conditions, the analogue of the paper's rule
 ``e1 (+) e2 (-) e2 = e1  if  e1 mod 2^64 = e1``.  The side conditions only
-ever compute on *literal* parts of the goal (or run the Fourier-Motzkin
-refutation check for ``linarith``), so checking stays deterministic and
-fast.  Soundness of every schema over random instantiations is
-property-tested in ``tests/proof/test_rule_soundness.py``.
+ever compute on *literal* parts of the goal (or, for ``linarith``, sum the
+rows of a shipped Farkas certificate), so checking is one deterministic
+pass with no search.  Soundness of every schema over random
+instantiations is property-tested in
+``tests/proof/test_rule_soundness.py``.
 """
 
 from __future__ import annotations
@@ -826,7 +827,7 @@ def _sel_upd_other(goal: Formula, params: tuple,
 
 
 # ---------------------------------------------------------------------------
-# Linear arithmetic (Fourier-Motzkin refutation)
+# Linear arithmetic (Farkas certificates)
 # ---------------------------------------------------------------------------
 
 def _constraints_of(atom: Atom, negate: bool) -> list[list[dict]]:
@@ -866,142 +867,52 @@ def _constraints_of(atom: Atom, negate: bool) -> list[list[dict]]:
     return [[shifted(lhs, 1)], [shifted(negated(lhs), 1)]]
 
 
-def _fm_pick_variable(work_constraints) -> "Term":
-    """Deterministic Fourier-Motzkin elimination order: the variable whose
-    elimination produces the fewest combined rows (the classic heuristic),
-    tie-broken by rendered text.  ``next(iter(set))`` would depend on hash
-    randomization and make certification nondeterministic across runs."""
-    from repro.logic.pretty import pp_term
-
-    counts: dict = {}
-    for constraint in work_constraints:
-        for key, value in constraint.items():
-            if key is None or value == 0:
-                continue
-            pos, neg = counts.get(key, (0, 0))
-            if value > 0:
-                counts[key] = (pos + 1, neg)
-            else:
-                counts[key] = (pos, neg + 1)
-    return min(counts,
-               key=lambda key: (counts[key][0] * counts[key][1],
-                                pp_term(key)))
-
-
-def _fm_infeasible(constraints: list[dict]) -> bool:
-    """True if the conjunction of ``lin <= 0`` constraints has no rational
-    solution (hence no integer solution).
-
-    All coefficients are integers, and positive-multiplier combinations
-    keep them integral, so the elimination runs in exact integer
-    arithmetic (no Fractions needed — this is on the certification hot
-    path).
-    """
-    work = [dict(constraint) for constraint in constraints]
-    while True:
-        if not any(key is not None and value != 0
-                   for constraint in work
-                   for key, value in constraint.items()):
-            break
-        variable = _fm_pick_variable(work)
-        positive = [c for c in work if c.get(variable, 0) > 0]
-        negative = [c for c in work if c.get(variable, 0) < 0]
-        others = [c for c in work if c.get(variable, 0) == 0]
-        combined = []
-        for pos in positive:
-            for neg in negative:
-                scale_pos = -neg[variable]
-                scale_neg = pos[variable]
-                merged: dict = {}
-                for key, value in pos.items():
-                    merged[key] = value * scale_pos
-                for key, value in neg.items():
-                    merged[key] = merged.get(key, 0) + value * scale_neg
-                merged.pop(variable, None)
-                combined.append({key: value
-                                 for key, value in merged.items()
-                                 if value != 0})
-        work = others + combined
-        if len(work) > 4000:
-            # Refuse pathological blowups rather than hang the checker.
-            raise ProofError("linarith: Fourier-Motzkin blowup")
-    return any(constraint.get(None, 0) > 0 for constraint in work)
-
-
-def _fm_core(constraints: list[dict],
-             sources: list[frozenset] | None = None) -> frozenset | None:
-    """Fourier-Motzkin with provenance: returns the set of source tags
-    behind one derived contradiction, or None when feasible.
-
-    ``sources`` tags each input constraint (defaults to singleton
-    indices); combined constraints carry the union of their parents' tags,
-    so the contradiction's tag set is an unsat core — the prover uses it
-    to minimize linarith premise lists in one pass.
-    """
-    if sources is None:
-        sources = [frozenset((index,)) for index in range(len(constraints))]
-    work = [(dict(constraint), tag)
-            for constraint, tag in zip(constraints, sources)]
-    while True:
-        if not any(key is not None and value != 0
-                   for constraint, __ in work
-                   for key, value in constraint.items()):
-            break
-        variable = _fm_pick_variable(
-            [constraint for constraint, __ in work])
-        positive = [(c, t) for c, t in work if c.get(variable, 0) > 0]
-        negative = [(c, t) for c, t in work if c.get(variable, 0) < 0]
-        others = [(c, t) for c, t in work if c.get(variable, 0) == 0]
-        combined = []
-        for pos, pos_tag in positive:
-            for neg, neg_tag in negative:
-                scale_pos = -neg[variable]
-                scale_neg = pos[variable]
-                merged: dict = {}
-                for key, value in pos.items():
-                    merged[key] = value * scale_pos
-                for key, value in neg.items():
-                    merged[key] = merged.get(key, 0) + value * scale_neg
-                merged.pop(variable, None)
-                combined.append(
-                    ({key: value for key, value in merged.items()
-                      if value != 0}, pos_tag | neg_tag))
-        work = others + combined
-        if len(work) > 4000:
-            # Refuse pathological blowups rather than hang the checker.
-            raise ProofError("linarith: Fourier-Motzkin blowup")
-    best: frozenset | None = None
-    for constraint, tag in work:
-        if constraint.get(None, 0) > 0:
-            if best is None or len(tag) < len(best):
-                best = tag
-    return best
+def linarith_rows(goal: Atom, premises) -> list[list[dict]]:
+    """The rows ``lin <= 0`` a ``linarith`` certificate weighs, one list
+    per branch of the negated goal (only an ``eq`` goal, negated to ``ne``,
+    has two): the rows of every non-``ne`` premise, then the branch's own
+    rows."""
+    premise_rows = [row for premise in premises if premise.pred != "ne"
+                    for row in _constraints_of(premise, negate=False)[0]]
+    return [premise_rows + branch
+            for branch in _constraints_of(goal, negate=True)]
 
 
 @_rule("linarith")
 def _linarith(goal: Formula, params: tuple, hyps: Hyps) -> list[Obligation]:
-    """Linear integer arithmetic over opaque atoms.
+    """Linear integer arithmetic over opaque atoms, by Farkas certificate.
 
-    params: a tuple of comparison atoms (the premises).  The side condition
-    checks that premises plus the *negation* of the goal are infeasible by
-    Fourier-Motzkin over the rationals after integer tightening — a sound
-    (not complete) refutation, since every term denotes an integer.
-    Premise ``ne`` atoms are ignored (FM cannot use them); a ``ne`` *goal*
-    splits into two refutations.
+    params: the premise atoms, then one tuple of weights — one per row of
+    :func:`linarith_rows`, branch after branch.  Each weight must be a
+    nonnegative ``int``, and in every branch the weighted sum of the rows
+    must leave no variable and a positive constant ``c``: ``0 < c <= 0``
+    refutes the branch over the rationals, hence over the integers
+    (strict comparisons were tightened by one).  Checking is one pass;
+    finding the weights is the prover's job.
     """
     goal_atom = _expect_atom("linarith", goal,
                              ("eq", "ne", "lt", "le", "gt", "ge"))
-    premise_constraints: list[dict] = []
-    for premise in params:
+    if not params or not isinstance(params[-1], tuple):
+        raise _fail("linarith", "last parameter must be the weight tuple")
+    premises, weights = params[:-1], params[-1]
+    for premise in premises:
         if not isinstance(premise, Atom) or premise.pred not in (
                 "eq", "lt", "le", "gt", "ge", "ne"):
             raise _fail("linarith", "premises must be comparison atoms")
-        if premise.pred == "ne":
-            continue
-        branches = _constraints_of(premise, negate=False)
-        premise_constraints.extend(branches[0])
-    for branch in _constraints_of(goal_atom, negate=True):
-        if not _fm_infeasible(premise_constraints + branch):
+    branches = linarith_rows(goal_atom, premises)
+    if len(weights) != sum(len(rows) for rows in branches):
+        raise _fail("linarith", "certificate needs one weight per row")
+    if not all(type(weight) is int and weight >= 0 for weight in weights):
+        raise _fail("linarith", "weights must be nonnegative integers")
+    position = 0
+    for rows in branches:
+        total: dict = {}
+        for row in rows:
+            for key, value in row.items():
+                total[key] = total.get(key, 0) + weights[position] * value
+            position += 1
+        constant = total.pop(None, 0)
+        if any(total.values()) or constant <= 0:
             raise _fail("linarith",
                         "goal does not follow by linear arithmetic")
-    return [(premise, {}) for premise in params]
+    return [(premise, {}) for premise in premises]

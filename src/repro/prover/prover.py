@@ -26,6 +26,7 @@ Design constraints worth knowing:
 from __future__ import annotations
 
 import itertools
+import math
 
 from repro.errors import ProofError, ProverError
 from repro.logic.formulas import (
@@ -54,7 +55,7 @@ from repro.logic.terms import (
     all_subterms,
 )
 from repro.proof.proofs import Proof
-from repro.proof.rules import RULES
+from repro.proof.rules import RULES, _constraints_of, linarith_rows
 from repro.prover.arith import (
     is_linear_atom,
     is_word_valued,
@@ -168,6 +169,76 @@ def _replace_term(term: Term, old: Term, new: Term) -> Term:
         if args != term.args:
             return App(term.op, args)
     return term
+
+
+#: Fourier-Motzkin gives up rather than build more rows than this.
+_FM_ROW_CAP = 4000
+
+
+def _fm_pick_variable(work: list[tuple[dict, dict]]) -> Term:
+    """Deterministic Fourier-Motzkin elimination order: the variable whose
+    elimination produces the fewest combined rows (the classic heuristic),
+    tie-broken by rendered text.  ``next(iter(set))`` would depend on hash
+    randomization and make certification nondeterministic across runs."""
+    counts: dict = {}
+    for row, __ in work:
+        for key, value in row.items():
+            if key is None:
+                continue
+            pos, neg = counts.get(key, (0, 0))
+            counts[key] = (pos + 1, neg) if value > 0 else (pos, neg + 1)
+    return min(counts,
+               key=lambda key: (counts[key][0] * counts[key][1],
+                                pp_term(key)))
+
+
+def _combine(a: dict, scale_a: int, b: dict, scale_b: int) -> dict:
+    """``scale_a * a + scale_b * b`` over sparse coefficient maps."""
+    merged = {key: value * scale_a for key, value in a.items()}
+    for key, value in b.items():
+        merged[key] = merged.get(key, 0) + value * scale_b
+    return merged
+
+
+def _farkas(rows: list[dict]) -> list[int] | None:
+    """A Farkas certificate refuting the rows ``lin <= 0``, or None.
+
+    Fourier-Motzkin elimination in exact integer arithmetic, where every
+    row carries its multipliers over the input rows.  Returns the
+    multipliers of the derived contradiction ``0 < c <= 0`` that uses the
+    fewest input rows, one weight per input row — what the ``linarith``
+    rule checks.  None when the rows are satisfiable over the rationals,
+    or when elimination would pass :data:`_FM_ROW_CAP` rows.
+    """
+    work = [(row, {index: 1}) for index, row in enumerate(rows)]
+    # Rows hold no zero coefficients, so a variable key means a variable.
+    while any(key is not None for row, __ in work for key in row):
+        variable = _fm_pick_variable(work)
+        positive = [item for item in work if item[0].get(variable, 0) > 0]
+        negative = [item for item in work if item[0].get(variable, 0) < 0]
+        work = [item for item in work if not item[0].get(variable, 0)]
+        for pos, pos_weights in positive:
+            for neg, neg_weights in negative:
+                if len(work) >= _FM_ROW_CAP:
+                    return None
+                scale_pos, scale_neg = -neg[variable], pos[variable]
+                row = _combine(pos, scale_pos, neg, scale_neg)
+                weights = _combine(pos_weights, scale_pos,
+                                   neg_weights, scale_neg)
+                # Divide out the common factor: the row stays the exact
+                # weighted sum, and certificates stay small.
+                common = math.gcd(*weights.values())
+                work.append(({key: value // common
+                              for key, value in row.items() if value},
+                             {index: weight // common
+                              for index, weight in weights.items()}))
+    best = None
+    for row, weights in work:
+        if row.get(None, 0) > 0 and (best is None or len(weights) < len(best)):
+            best = weights
+    if best is None:
+        return None
+    return [best.get(index, 0) for index in range(len(rows))]
 
 
 class Prover:
@@ -846,8 +917,8 @@ class Prover:
 
     def _prove_linear(self, goal: Atom, depth: int) -> Proof | None:
         """The linear pipeline: gather comparison facts, enrich with bound
-        lemmas and machine-to-pure equalities, hand everything to the
-        ``linarith`` schema."""
+        lemmas and machine-to-pure equalities, and search them for the
+        Farkas certificate a ``linarith`` step ships."""
         if depth > _MAX_DEPTH - 10:
             return None
         candidates: dict[Atom, Proof] = {}
@@ -868,82 +939,49 @@ class Prover:
         for term in sorted(terms, key=pp_term):
             self._enrich(term, premises, depth)
 
-        ordered = sorted(premises, key=pp_formula)
-        try:
-            RULES["linarith"](goal, tuple(ordered), self.facts)
-        except ProofError:
-            pass
-        else:
-            ordered = self._minimize_premises(goal, ordered)
-            return Proof("linarith", tuple(ordered),
-                         tuple(premises[atom] for atom in ordered))
-
+        proof = self._linarith(goal, premises)
         # Fallback for dead branches: contradictory hypotheses prove any
         # comparison, even one unconnected to them.
-        if self._facts_contradictory(candidates):
-            ordered = sorted(candidates, key=pp_formula)
-            try:
-                RULES["linarith"](goal, tuple(ordered), self.facts)
-            except ProofError:
-                return None
-            ordered = self._minimize_premises(goal, ordered)
-            return Proof("linarith", tuple(ordered),
-                         tuple(candidates[atom] for atom in ordered))
-        return None
+        if proof is None and self._facts_contradictory(candidates):
+            proof = self._linarith(goal, candidates)
+        return proof
 
     @staticmethod
-    def _minimize_premises(goal: Atom,
-                           premises: list[Atom]) -> list[Atom]:
-        """Keep only the premises in the Fourier-Motzkin unsat core — a
-        proof-size optimization (the paper: "we have implemented several
-        optimizations in the representation of the proofs").  Provenance
-        tags in the elimination give the core in a single FM pass."""
-        from repro.proof.rules import _constraints_of, _fm_core
-
-        constraints: list[dict] = []
-        tags: list[frozenset] = []
-        for index, premise in enumerate(premises):
-            if premise.pred == "ne":
-                continue
-            for constraint in _constraints_of(premise, negate=False)[0]:
-                constraints.append(constraint)
-                tags.append(frozenset((index,)))
-        needed: set[int] = set()
-        try:
-            for branch in _constraints_of(goal, negate=True):
-                branch_constraints = constraints + branch
-                branch_tags = tags + [frozenset()] * len(branch)
-                core = _fm_core(branch_constraints, branch_tags)
-                if core is None:
-                    return premises
-                needed |= core
-        except ProofError:
-            return premises
-        kept = [premise for index, premise in enumerate(premises)
-                if index in needed]
-        try:
-            RULES["linarith"](goal, tuple(kept), {})
-        except ProofError:
-            return premises  # fall back to the full (accepted) set
-        return kept
+    def _linarith(goal: Atom, premises: dict[Atom, Proof]) -> Proof | None:
+        """A ``linarith`` step from the premises that carry weight in the
+        Farkas certificates of the goal's negated branches — the unsat
+        core, a proof-size optimization (the paper: "we have implemented
+        several optimizations in the representation of the proofs")."""
+        ordered = sorted(premises, key=pp_formula)
+        owners = [index for index, premise in enumerate(ordered)
+                  if premise.pred != "ne"
+                  for __ in _constraints_of(premise, negate=False)[0]]
+        certificates = []
+        for rows in linarith_rows(goal, ordered):
+            weights = _farkas(rows)
+            if weights is None:
+                return None
+            certificates.append(weights)
+        kept = {owners[row] for weights in certificates
+                for row, weight in enumerate(weights[:len(owners)])
+                if weight}
+        used = [premise for index, premise in enumerate(ordered)
+                if index in kept]
+        certificate = tuple(
+            weight for weights in certificates
+            for row, weight in enumerate(weights)
+            if row >= len(owners) or owners[row] in kept)
+        return Proof("linarith", (*used, certificate),
+                     tuple(premises[premise] for premise in used))
 
     def _facts_contradictory(self, candidates: dict[Atom, Proof]) -> bool:
         """True when the linear facts in scope are jointly infeasible (a
         dead branch).  Cached per scope change."""
-        if self._contra_cache is not None:
-            return self._contra_cache
-        from repro.proof.rules import _constraints_of, _fm_infeasible
-        constraints = []
-        for atom in candidates:
-            if atom.pred == "ne":
-                continue
-            constraints.extend(_constraints_of(atom, negate=False)[0])
-        try:
-            result = _fm_infeasible(constraints)
-        except ProofError:
-            result = False
-        self._contra_cache = result
-        return result
+        if self._contra_cache is None:
+            rows = [row for atom in candidates if atom.pred != "ne"
+                    for row in _constraints_of(atom, negate=False)[0]]
+            self._contra_cache = _farkas(rows) is not None
+        return self._contra_cache
 
     def _enrich(self, term: Term, premises: dict[Atom, Proof],
                 depth: int) -> None:
@@ -1065,22 +1103,11 @@ class Prover:
             assert isinstance(subgoal, Atom)
             proof = self._prove(subgoal, depth + 2)
             if proof is None:
-                proof = self._linarith_from(subgoal, premises)
+                proof = self._linarith(subgoal, premises)
             if proof is None:
                 return None
             sub_proofs.append(proof)
         return Proof("add64_exact", (), tuple(sub_proofs))
-
-    def _linarith_from(self, goal: Atom,
-                       premises: dict[Atom, Proof]) -> Proof | None:
-        ordered = sorted(premises, key=pp_formula)
-        try:
-            RULES["linarith"](goal, tuple(ordered), self.facts)
-        except ProofError:
-            return None
-        ordered = self._minimize_premises(goal, ordered)
-        return Proof("linarith", tuple(ordered),
-                     tuple(premises[atom] for atom in ordered))
 
 
 def prove_safety_predicate(predicate: Formula) -> Proof:

@@ -1,12 +1,9 @@
 """Binary encoding tests: real Alpha words, round-trips, tamper rejection."""
 
-import struct
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.alpha.encoding import (
-    RET_WORD,
     decode_instruction,
     decode_program,
     encode_instruction,

@@ -6,8 +6,6 @@ from repro.baselines.bpf import (
     BPF_FILTERS,
     BpfInterpreter,
     alu_add_k,
-    alu_and_k,
-    alu_rsh_k,
     jeq,
     jmp_ja,
     ld_b_abs,

@@ -23,7 +23,6 @@ from repro.baselines.bpf.isa import (
     ld_imm,
     ld_mem,
     ld_w_abs,
-    ldx_imm,
     ldx_msh,
     ret_a,
     ret_k,

@@ -4,7 +4,7 @@ and the certifying-compiler experiment."""
 
 import pytest
 
-from repro.alpha.isa import Branch, Ldq, Operate
+from repro.alpha.isa import Ldq, Operate
 from repro.alpha.machine import Machine
 from repro.baselines.m3 import (
     Bin,

@@ -12,7 +12,6 @@ from repro.baselines.sfi import (
     sfi_registers,
     sfi_rewrite,
 )
-from repro.baselines.sfi.rewrite import READ_SEGMENT_SIZE
 from repro.errors import SfiError
 from repro.filters import FILTERS, ORACLES
 from repro.pcc import certify, validate

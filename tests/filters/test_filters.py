@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.alpha.abstract import AbstractMachine
 from repro.alpha.machine import Machine
-from repro.errors import CertificationError, SafetyViolation
+from repro.errors import CertificationError
 from repro.filters import (
     FILTERS,
     ORACLES,
@@ -15,7 +15,7 @@ from repro.filters import (
     packet_memory,
 )
 from repro.filters.programs import SCRATCH_COUNTER
-from repro.filters.trace import TraceConfig, generate_packet, generate_trace
+from repro.filters.trace import TraceConfig, generate_packet
 from repro.pcc import certify
 import random
 
@@ -138,7 +138,6 @@ class TestSafetyTheorem:
     def test_never_blocks_on_garbage_frames(self, filter_policy, blob):
         """Adversarial packet *contents* cannot make certified code trap —
         the whole point of kernel-extension safety."""
-        from repro.pcc import certify as _certify
         for spec in FILTERS:
             _run_abstract(filter_policy, spec.program, blob)
 

@@ -9,7 +9,6 @@ import struct
 from repro.filters.oracle import oracle1, oracle2, oracle3, oracle4
 from repro.filters.packets import (
     make_arp_packet,
-    make_ethernet,
     make_ip_packet,
     make_tcp_packet,
     make_udp_packet,

@@ -19,7 +19,7 @@ from repro.lf.encode import (
     encode_term,
 )
 from repro.lf.signature import SIGNATURE
-from repro.lf.syntax import LfApp, LfConst, LfInt, LfLam, LfVar, lf_app
+from repro.lf.syntax import LfApp, LfConst, LfInt, LfVar, lf_app
 from repro.lf.typecheck import check_proof_term
 from repro.logic.formulas import (
     And,
@@ -33,7 +33,7 @@ from repro.logic.formulas import (
     ne,
     rd,
 )
-from repro.logic.terms import App, Int, Var, add64, and64, mod64, sel, srl64
+from repro.logic.terms import Int, Var, add64, and64, mod64, sel, srl64
 from repro.proof.checker import check_proof
 from repro.proof.proofs import Proof
 
@@ -148,7 +148,7 @@ class TestProofEncoding:
                                             lt(Var("r1"), Var("r2"))))
         proof = Proof("impi", ("a",), (
             Proof("impi", ("b",), (
-                Proof("linarith", premises,
+                Proof("linarith", (*premises, (1, 1, 1)),
                       (Proof("hyp", ("a",)), Proof("hyp", ("b",)))),)),))
         _validate(proof, goal)
 

@@ -11,8 +11,6 @@ from repro.lf.signature import SIGNATURE
 from repro.lf.syntax import LfApp, LfConst
 from repro.lf.typecheck import check_proof_term
 from repro.pcc import certify
-from repro.filters.policy import packet_filter_policy
-from repro.alpha.parser import parse_program
 
 
 def _chain(depth: int) -> str:

@@ -4,9 +4,24 @@ consumer's own sanity check on its published policy logic."""
 
 import pytest
 
+from repro.errors import LfError
+from repro.lf.encode import encode_formula
 from repro.lf.signature import SIGNATURE
-from repro.lf.syntax import KIND, LfConst, LfPi, TYPE, whnf
-from repro.lf.typecheck import infer_type
+from repro.lf.syntax import (
+    KIND,
+    LfApp,
+    LfConst,
+    LfInt,
+    LfLam,
+    LfPi,
+    LfVar,
+    TYPE,
+    lf_app,
+    whnf,
+)
+from repro.lf.typecheck import check_proof_term, infer_type
+from repro.logic.formulas import Implies, ge, le
+from repro.logic.terms import WORD_MOD, Var, sll64
 from repro.proof.rules import RULES
 
 
@@ -61,7 +76,7 @@ class TestWellFormedness:
             "word_lt_mod", "and_ubound", "and_mask_disjoint", "add_align",
             "srl_bound", "sll_align", "extbl_bound", "extwl_bound",
             "extll_bound", "linarith", "or_disjoint", "and_submask",
-            "shift_trunc_le", "sll_lt_of_srl",
+            "shift_trunc_le", "sll_lt_of_srl", "sll_ubound",
         )
         for name in must_be_guarded:
             entry = SIGNATURE.entries[name]
@@ -74,3 +89,36 @@ class TestProofIrrelevantDeclarations:
         assert isinstance(pf, LfPi)
         assert pf.dom == LfConst("form")
         assert pf.cod == TYPE
+
+
+class TestSllUbound:
+    """``(a << k) <= c`` from ``0 <= a <= m``, through the LF checker:
+    ``impi`` twice, then ``sll_ubound a k m c h1 h2``."""
+
+    @staticmethod
+    def _check(k, m, c):
+        a = Var("r1")
+        low, high = ge(a, 0), le(a, m)
+        goal = Implies(low, Implies(high, le(sll64(a, k), c)))
+        low_lf, high_lf = (encode_formula(f, {}, 0) for f in (low, high))
+        conclusion = encode_formula(goal.right.right, {}, 0)
+        step = lf_app(LfConst("sll_ubound"), LfConst("r1"), LfInt(k),
+                      LfInt(m), LfInt(c), LfVar(1), LfVar(0))
+        inner = lf_app(LfConst("impi"), high_lf, conclusion,
+                       LfLam(LfApp(LfConst("pf"), high_lf), step))
+        proof = lf_app(
+            LfConst("impi"), low_lf, encode_formula(goal.right, {}, 0),
+            LfLam(LfApp(LfConst("pf"), low_lf), inner))
+        expected = LfApp(LfConst("pf"), encode_formula(goal, {}, 0))
+        check_proof_term(proof, expected, SIGNATURE)
+
+    def test_accepts_a_byte_scaled_by_eight(self):
+        self._check(3, 255, 2040)
+
+    def test_rejects_a_bound_below_m_shifted(self):
+        with pytest.raises(LfError, match="sll_ubound"):
+            self._check(3, 255, 2039)
+
+    def test_rejects_a_shift_that_wraps(self):
+        with pytest.raises(LfError, match="sll_ubound"):
+            self._check(3, 1 << 61, WORD_MOD - 1)

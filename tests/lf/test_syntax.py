@@ -5,7 +5,6 @@ from repro.lf.syntax import (
     LfConst,
     LfInt,
     LfLam,
-    LfPi,
     LfVar,
     alpha_beta_equal,
     lf_app,

@@ -8,7 +8,6 @@ import pytest
 from repro.errors import LfError
 from repro.lf.signature import SIGNATURE
 from repro.lf.syntax import (
-    KIND,
     LfApp,
     LfConst,
     LfInt,

@@ -26,7 +26,7 @@ from repro.logic.formulas import (
     wr,
 )
 from repro.logic.subst import rename_bound, subst_formula, subst_term
-from repro.logic.terms import App, Int, Var, add64, make_memory, sel
+from repro.logic.terms import Int, Var, add64, make_memory, sel
 
 
 class TestConstruction:

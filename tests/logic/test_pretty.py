@@ -10,9 +10,6 @@ from repro.logic.formulas import (
     Implies,
     Or,
     Truth,
-    eq,
-    ge,
-    lt,
     ne,
     rd,
     wr,
@@ -23,10 +20,8 @@ from repro.logic.terms import (
     Int,
     Var,
     add64,
-    and64,
     mod64,
     sel,
-    srl64,
     sub64,
     upd,
 )

@@ -8,7 +8,7 @@ formula would blow up exponentially — the regression these tests pin.
 import time
 
 from repro.alpha.parser import parse_program
-from repro.logic.formulas import And, Atom, Forall, Implies, Or, Truth, eq, ne
+from repro.logic.formulas import And, Forall, Implies, Or, Truth, eq, ne
 from repro.logic.simplify import simplify_formula
 from repro.logic.subst import subst_formula
 from repro.logic.terms import Int, Var, add64

@@ -29,10 +29,8 @@ from repro.logic.terms import (
     and64,
     eval_term,
     mod64,
-    mul64,
     sel,
     srl64,
-    sub64,
     upd,
 )
 

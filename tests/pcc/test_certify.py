@@ -7,7 +7,7 @@ from repro.errors import CertificationError
 from repro.logic.formulas import Forall, Implies, conj, eq, ge, lt, rd
 from repro.logic.terms import Var, add64, and64
 from repro.pcc.producer import CertificationResult, canonicalize_invariants, certify
-from repro.vcgen.policy import resource_access_policy, word_identity
+from repro.vcgen.policy import word_identity
 from tests.conftest import RESOURCE_ACCESS_SOURCE
 
 

@@ -1,13 +1,9 @@
 """The consumer-side execution handle: a small 'kernel' scenario driving
 several installed extensions over shared state, plus cost accounting."""
 
-import struct
-
-from repro.alpha.machine import Memory
 from repro.filters.policy import filter_registers, packet_memory
-from repro.filters.programs import FILTERS
 from repro.filters.trace import TraceConfig, generate_trace
-from repro.pcc.api import CodeConsumer, CodeProducer
+from repro.pcc.api import CodeConsumer
 from repro.perf.cost import ALPHA_175
 
 

@@ -6,8 +6,7 @@ import struct
 
 import pytest
 
-from repro.alpha.machine import Machine, Memory
-from repro.alpha.parser import parse_program
+from repro.alpha.machine import Machine
 from repro.errors import CertificationError
 from repro.filters.checksum import (
     checksum_memory,

@@ -8,13 +8,11 @@ then accepts binaries certified under P.
 import pytest
 
 from repro.errors import CertificationError, ValidationError
-from repro.filters.policy import packet_filter_policy
 from repro.logic.formulas import Forall, Implies, conj, eq, ge, lt, rd
 from repro.logic.terms import Var, add64, and64
 from repro.pcc import certify, validate
-from repro.pcc.api import CodeConsumer
 from repro.pcc.negotiate import PolicyProposal, accept_policy, propose_policy
-from repro.vcgen.policy import SafetyPolicy, word_identity
+from repro.vcgen.policy import word_identity
 
 
 def _restricted_precondition():

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.alpha.abstract import AbstractMachine
 from repro.alpha.machine import Machine
-from repro.alpha.parser import parse_program
-from repro.errors import CertificationError, SafetyViolation
+from repro.errors import CertificationError
 from repro.filters.policy import (
     filter_registers,
     packet_filter_policy,

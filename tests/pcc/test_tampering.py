@@ -14,7 +14,7 @@ import pytest
 
 from repro.alpha.abstract import AbstractMachine
 from repro.alpha.machine import Memory
-from repro.errors import SafetyViolation, ValidationError
+from repro.errors import ValidationError
 from repro.pcc import validate
 from repro.pcc.container import PccBinary, _HEADER
 

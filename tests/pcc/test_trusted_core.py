@@ -73,6 +73,28 @@ print(json.dumps({"imported": imported, "validated": loaded(),
                   "instructions": report.instructions}))
 """
 
+#: Validation of programs whose proofs use ``linarith``.  The policies'
+#: checkers are closures, so the child builds them from the factories.
+_VALIDATE_LINARITH = """
+import json
+import sys
+
+from repro.pcc.validate import validate
+from repro.filters.checksum import checksum_policy
+from repro.filters.policy import packet_filter_policy
+
+blobs = json.loads(sys.stdin.read())
+policies = {"filter4": packet_filter_policy(), "checksum": checksum_policy()}
+before = set(sys.modules)
+instructions = {}
+for name, blob in blobs.items():
+    report = validate(bytes.fromhex(blob), policies[name])
+    instructions[name] = report.instructions
+print(json.dumps({"loaded": sorted(set(sys.modules) - before),
+                  "pretty": "repro.logic.pretty" in sys.modules,
+                  "instructions": instructions}))
+"""
+
 _EXPORTS = """
 import json
 import sys
@@ -105,6 +127,19 @@ def test_validator_imports_only_the_trusted_core(resource_certified):
     assert child["limit"] >= 20_000
     assert child["instructions"] == 7
     assert child["validated"] == child["imported"]
+
+
+def test_linarith_checks_inside_the_trusted_core(certified_filters,
+                                                checksum_blob):
+    """filter4 and the checksum loop ship ``linarith`` steps: checking
+    their certificates loads no module beyond those already imported, and
+    never the pretty-printer."""
+    blobs = {"filter4": certified_filters["filter4"].binary.to_bytes().hex(),
+             "checksum": checksum_blob.hex()}
+    child = _run(_VALIDATE_LINARITH, json.dumps(blobs).encode())
+    assert child["loaded"] == []
+    assert not child["pretty"]
+    assert all(child["instructions"].values())
 
 
 def test_package_exports_are_the_functions():

@@ -10,8 +10,8 @@ import pytest
 from repro.errors import ValidationError
 from repro.lf.binary import serialize_lf
 from repro.lf.encode import encode_formula
-from repro.lf.syntax import LfConst, LfInt, lf_app
-from repro.logic.formulas import Truth, eq
+from repro.lf.syntax import LfConst, LfInt
+from repro.logic.formulas import eq
 from repro.logic.terms import Var
 from repro.pcc import validate
 from repro.pcc.container import PccBinary, pack_invariants

@@ -10,15 +10,13 @@ import pytest
 from repro.errors import ProofError
 from repro.logic.formulas import (
     And,
+    Atom,
     Falsity,
     Forall,
     Implies,
     Truth,
     eq,
     ge,
-    le,
-    lt,
-    ne,
     rd,
 )
 from repro.logic.terms import App, Int, Var, add64, and64, mod64
@@ -48,10 +46,14 @@ class TestForgery:
         rejected(Proof("arith_eval"), eq(Int(2), Int(3)))
 
     def test_smuggled_linarith(self):
-        """Premises that do NOT imply the goal."""
+        """Premises that do NOT imply the goal: no weights on -x <= 0 and
+        the negated goal x <= 0 leave a positive constant."""
         premises = (ge(Var("x"), 0),)
-        proof = Proof("linarith", premises, (Proof("hyp", ("p",)),))
-        rejected(proof, ge(Var("x"), 1), {"p": premises[0]})
+        for weights in ((1, 1), (0, 1), (1, 0), (3, 5)):
+            proof = Proof("linarith", (*premises, weights),
+                          (Proof("hyp", ("p",)),))
+            with pytest.raises(ProofError, match="does not follow"):
+                check_proof(proof, ge(Var("x"), 1), {"p": premises[0]})
 
     def test_mod_word_on_unbounded_variable(self):
         rejected(Proof("mod_word"), eq(mod64(Var("x")), Var("x")))
@@ -82,10 +84,15 @@ class TestForgery:
                 ("alle", (Truth(), "not a term"),),
                 ("eqtrans", ("nonsense",)),
                 ("eqsub", (1, 2, 3, 4)),
-                ("impi", (None,)),
-                ("linarith", ("x",))):
+                ("impi", (None,))):
             with pytest.raises(ProofError):
                 check_proof(Proof(rule, params, ()), Truth())
+        # Strings where terms belong still reach the arithmetic, which
+        # turns them down like any other non-consequence.
+        premise = Atom("le", ("x", "y"))
+        with pytest.raises(ProofError, match="does not follow"):
+            check_proof(Proof("linarith", (premise, (1, 1)), ()),
+                        Atom("lt", ("x", "y")))
 
     def test_cyclic_premises_depth_limited(self):
         """A pathologically deep proof hits the depth limit instead of

@@ -20,7 +20,7 @@ from repro.logic.formulas import (
     ne,
     rd,
 )
-from repro.logic.terms import App, Int, Var, add, add64, mod64, sel, srl64, sub64, upd
+from repro.logic.terms import App, Int, Var, add64, mod64, sel, srl64
 from repro.proof.checker import check_proof
 from repro.proof.proofs import Proof, proof_rules_used, proof_size
 
@@ -179,18 +179,61 @@ class TestArithmeticSchemas:
         bad(Proof("and_mask_disjoint"), eq(overlapping, 0))
 
     def test_linarith(self):
+        # x - 56 <= 0, 64 - y <= 0 and the negated goal y - x <= 0 sum to
+        # 8 <= 0.
         premises = (le(Var("x"), 56), ge(Var("y"), 64))
         hyps = {"p0": premises[0], "p1": premises[1]}
-        proof = Proof("linarith", premises,
+        proof = Proof("linarith", (*premises, (1, 1, 1)),
                       (Proof("hyp", ("p0",)), Proof("hyp", ("p1",))))
         ok(proof, lt(Var("x"), Var("y")), hyps)
         bad(proof, lt(Var("y"), Var("x")), hyps)
 
-    def test_linarith_cannot_use_ne_premises(self):
-        premises = (ne(Var("x"), Var("y")),)
+    @pytest.mark.parametrize("weights, reason", [
+        ((1, 1), "one weight per row"),
+        ((1, 1, 1, 1), "one weight per row"),
+        ((1, -1, 1), "nonnegative integers"),
+        ((1, True, 1), "nonnegative integers"),
+        ((1, 1.0, 1), "nonnegative integers"),
+        ((1, 2, 1), "does not follow"),
+        ((0, 0, 0), "does not follow"),
+    ])
+    def test_linarith_rejects_bad_certificates(self, weights, reason):
+        premises = (le(Var("x"), 56), ge(Var("y"), 64))
+        hyps = {"p0": premises[0], "p1": premises[1]}
+        proof = Proof("linarith", (*premises, weights),
+                      (Proof("hyp", ("p0",)), Proof("hyp", ("p1",))))
+        with pytest.raises(ProofError, match=reason):
+            check_proof(proof, lt(Var("x"), Var("y")), hyps)
+
+    def test_linarith_needs_a_certificate(self):
+        premises = (le(Var("x"), 56), ge(Var("y"), 64))
         proof = Proof("linarith", premises,
-                      (Proof("hyp", ("p",)),))
-        bad(proof, ne(Var("y"), Var("x")), {"p": premises[0]})
+                      (Proof("hyp", ("p0",)), Proof("hyp", ("p1",))))
+        with pytest.raises(ProofError, match="weight tuple"):
+            check_proof(proof, lt(Var("x"), Var("y")),
+                        {"p0": premises[0], "p1": premises[1]})
+
+    def test_linarith_cannot_use_ne_premises(self):
+        # The ne premise has no rows; the negated goal y = x has two, and
+        # no weights cancel them into a positive constant.
+        premises = (ne(Var("x"), Var("y")),)
+        for weights in ((1, 1), (0, 1), (2, 1)):
+            proof = Proof("linarith", (*premises, weights),
+                          (Proof("hyp", ("p",)),))
+            with pytest.raises(ProofError, match="does not follow"):
+                check_proof(proof, ne(Var("y"), Var("x")),
+                            {"p": premises[0]})
+
+    def test_linarith_eq_goal_needs_both_branches(self):
+        # The goal x = 5 negates to x <= 4 or x >= 6: one refutation per
+        # branch, each against the premises x <= 5 and x >= 5.
+        premises = (le(Var("x"), 5), ge(Var("x"), 5))
+        hyps = {"p0": premises[0], "p1": premises[1]}
+        premise_proofs = (Proof("hyp", ("p0",)), Proof("hyp", ("p1",)))
+        ok(Proof("linarith", (*premises, (0, 1, 1, 1, 0, 1)),
+                 premise_proofs), eq(Var("x"), 5), hyps)
+        bad(Proof("linarith", (*premises, (0, 1, 1)), premise_proofs),
+            eq(Var("x"), 5), hyps)
 
 
 class TestAccounting:

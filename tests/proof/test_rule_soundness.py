@@ -18,14 +18,14 @@ from repro.logic.terms import (
     WORD_MOD,
     add64,
     and64,
-    eval_term,
     mod64,
     or64,
     sll64,
     srl64,
     sub64,
 )
-from repro.proof.rules import RULES
+from repro.proof.rules import RULES, linarith_rows
+from repro.prover.prover import _farkas
 
 # Values biased toward the interesting boundaries.
 words = st.one_of(
@@ -173,6 +173,11 @@ class TestConditionalSchemas:
 
 
 class TestLinarithSoundness:
+    @staticmethod
+    def _atom(pred, a, b, c):
+        left = App("add", (App("mul", (Int(a), X)), App("mul", (Int(b), Y))))
+        return Atom(pred, (left, Int(c)))
+
     @settings(max_examples=200)
     @given(st.lists(st.tuples(
         st.sampled_from(["le", "lt", "ge", "gt", "eq"]),
@@ -184,16 +189,35 @@ class TestLinarithSoundness:
         st.integers(min_value=-5, max_value=5),
         st.integers(min_value=-20, max_value=20),
         st.integers(min_value=-50, max_value=50),
-        st.integers(min_value=-50, max_value=50))
+        st.integers(min_value=-50, max_value=50),
+        st.data())
     def test_random_systems(self, premise_specs, goal_pred, ga, gb, gc,
-                            x, y):
-        """Random small linear systems over two variables: whenever the
-        rule accepts, the implication must hold on a random point."""
-        def atom(pred, a, b, c):
-            left = App("add", (App("mul", (Int(a), X)),
-                               App("mul", (Int(b), Y))))
-            return Atom(pred, (left, Int(c)))
+                            x, y, data):
+        """Random small linear systems over two variables, with the
+        prover's certificate when it finds one and with random weights:
+        whenever the rule accepts, the implication must hold on a random
+        point.  A certificate the prover finds must be accepted."""
+        premises = tuple(self._atom(*spec) for spec in premise_specs)
+        goal = self._atom(goal_pred, ga, gb, gc)
+        branches = linarith_rows(goal, premises)
+        found = [_farkas(rows) for rows in branches]
+        if None not in found:
+            certificate = tuple(w for weights in found for w in weights)
+            assert _accepted("linarith", goal,
+                             (*premises, certificate)) is not None
+            _check_sound("linarith", goal, (*premises, certificate),
+                         {"x": x, "y": y})
+        size = sum(len(rows) for rows in branches)
+        weights = data.draw(st.lists(st.integers(min_value=0, max_value=6),
+                                     min_size=size, max_size=size))
+        _check_sound("linarith", goal, (*premises, tuple(weights)),
+                     {"x": x, "y": y})
 
-        premises = tuple(atom(*spec) for spec in premise_specs)
-        goal = atom(goal_pred, ga, gb, gc)
-        _check_sound("linarith", goal, premises, {"x": x, "y": y})
+    def test_fixed_system_is_accepted(self):
+        """x + y <= 4 and x - y <= 2 give x <= 3: with the negated goal
+        4 - x <= 0 weighted twice, the rows sum to 2 <= 0."""
+        premises = (self._atom("le", 1, 1, 4), self._atom("le", 1, -1, 2))
+        goal = self._atom("le", 1, 0, 3)
+        assert _accepted("linarith", goal,
+                         (*premises, (1, 1, 2))) is not None
+        assert _farkas(linarith_rows(goal, premises)[0]) == [1, 1, 2]

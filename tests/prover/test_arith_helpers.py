@@ -12,7 +12,6 @@ from repro.logic.terms import (
     and64,
     eval_term,
     sel,
-    srl64,
     sub64,
 )
 from repro.prover.arith import (

@@ -21,7 +21,6 @@ from repro.logic.formulas import (
     wr,
 )
 from repro.logic.terms import (
-    App,
     Int,
     Var,
     add64,

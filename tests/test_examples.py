@@ -5,8 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 

@@ -20,8 +20,7 @@ from repro.logic.formulas import (
     wr,
 )
 from repro.logic.pretty import pp_formula
-from repro.logic.terms import App, Int, Var, add64, sel, upd
-from repro.vcgen.policy import resource_access_policy
+from repro.logic.terms import Int, Var, add64, sel, upd
 from repro.vcgen.vcgen import compute_vc, safety_predicate
 
 
