@@ -11,7 +11,6 @@ needs), then compare safety-predicate size, proof nodes, and binary size
 against the uncut version.
 """
 
-from repro.alpha.parser import parse_program
 from repro.filters.policy import packet_filter_precondition
 from repro.logic.formulas import formula_size
 from repro.pcc import certify, validate
@@ -34,7 +33,6 @@ def _chain(depth: int) -> str:
 def test_invariant_cutting(benchmark, filter_policy, record):
     depth = 12
     source = _chain(depth)
-    program = parse_program(source)
     # cut at the start of the middle block (each block is 4 instructions)
     midpoint = (depth // 2) * 4
     invariant = packet_filter_precondition()

@@ -12,8 +12,8 @@ the naive tree encoding.  Sharing is what keeps the growth polynomial.
 """
 
 from repro.lf.binary import serialize_lf
-from repro.lf.encode import encode_proof
 from repro.pcc import certify, validate
+from repro.proof.encode import encode_proof
 
 
 def _conditional_chain(depth: int) -> str:

@@ -80,7 +80,7 @@ def test_figure9(benchmark, trace, certified_filters, filter_policy,
         f"(native filter wall vs modeled time)",
         "startup (modeled us):  " + "  ".join(
             f"{name}={startup_us[name]:.0f}" for name in startup_us),
-        f"  (paper: PCC validation 1710 us for filter 4)",
+        "  (paper: PCC validation 1710 us for filter 4)",
         f"warm load (cache hit): {warm_us:.3f} modeled us — "
         f"{warm_speedup:,.0f}x below cold validation",
         "per packet (modeled us): " + "  ".join(

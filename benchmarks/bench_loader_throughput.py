@@ -97,7 +97,7 @@ def test_loader_throughput(benchmark, filter_policy, certified_filters,
 
     stats = loader.stats()
     lines = [
-        f"cold validate (s):   " + "  ".join(
+        "cold validate (s):   " + "  ".join(
             f"{name}={seconds * 1e3:.1f}ms"
             for name, seconds in cold_seconds.items()),
         f"warm load:           {warm_per_load * 1e6:.1f} us/load over "

@@ -576,10 +576,6 @@ class IntervalAnalysis:
             state = transfer(state, self.cfg.program[earlier])
         return state
 
-    def register_interval(self, pc: int, reg: int) -> Interval | None:
-        state = self.state_at(pc)
-        return None if state is None else state[reg]
-
     def exit_interval(self, reg: int = 0) -> Interval | None:
         """Join of ``reg``'s interval over every reachable RET."""
         result: Interval | None = None

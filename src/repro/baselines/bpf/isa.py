@@ -107,16 +107,6 @@ def ld_h_ind(k: int) -> BpfInstruction:
     return BpfInstruction(BPF_LD | BPF_H | BPF_IND, k=k)
 
 
-def ld_b_ind(k: int) -> BpfInstruction:
-    """A := pkt[X+k]."""
-    return BpfInstruction(BPF_LD | BPF_B | BPF_IND, k=k)
-
-
-def ld_len() -> BpfInstruction:
-    """A := packet length."""
-    return BpfInstruction(BPF_LD | BPF_W | BPF_LEN)
-
-
 def ld_imm(k: int) -> BpfInstruction:
     """A := k."""
     return BpfInstruction(BPF_LD | BPF_IMM, k=k)
@@ -135,11 +125,6 @@ def ldx_imm(k: int) -> BpfInstruction:
 def ldx_msh(k: int) -> BpfInstruction:
     """X := 4 * (pkt[k] & 0xf) — the IP header-length idiom."""
     return BpfInstruction(BPF_LDX | BPF_B | BPF_MSH, k=k)
-
-
-def ldx_len() -> BpfInstruction:
-    """X := packet length."""
-    return BpfInstruction(BPF_LDX | BPF_W | BPF_LEN)
 
 
 def ldx_mem(k: int) -> BpfInstruction:
@@ -163,10 +148,6 @@ def alu_add_k(k: int) -> BpfInstruction:
 
 def alu_and_k(k: int) -> BpfInstruction:
     return BpfInstruction(BPF_ALU | BPF_AND | BPF_K, k=k)
-
-
-def alu_or_k(k: int) -> BpfInstruction:
-    return BpfInstruction(BPF_ALU | BPF_OR | BPF_K, k=k)
 
 
 def alu_lsh_k(k: int) -> BpfInstruction:

@@ -12,8 +12,9 @@ validation amounts to typechecking".  This package implements that stack:
   an LF signature; arithmetic schemas carry *computational side conditions*
   (the analogue of the paper's "predicate calculus extended with
   two's-complement integer arithmetic"),
-* :mod:`repro.lf.encode` — encoding of formulas, terms and natural-deduction
-  proofs into LF objects (and the decoding used by side conditions),
+* :mod:`repro.lf.arith` — the arithmetic those side conditions compute,
+* :mod:`repro.lf.encode` — encoding of formulas and terms into LF objects
+  (and the decoding used by side conditions),
 * :mod:`repro.lf.binary` — the binary wire format with its symbol table
   (the PCC binary's relocation + proof sections, Figure 7).
 """

@@ -17,9 +17,10 @@ It declares:
   fully applied, so no proof can bind it to a variable and apply it
   unchecked.
 
-Side conditions delegate to the same rule functions the Delta checker
-uses (:mod:`repro.proof.rules`), decoding the LF arguments back into logic
-terms first — one implementation of the arithmetic, two proof formats.
+Side conditions decode the LF arguments back into logic terms and run the
+arithmetic schemas of :mod:`repro.lf.arith`, the same functions the
+producer's natural-deduction rule set registers: one implementation of the
+arithmetic, two proof formats.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import LfError, ProofError
+from repro.lf.arith import SCHEMAS
 from repro.lf.encode import decode_logic_formula, decode_logic_term
 from repro.lf.syntax import (
     LfApp,
@@ -41,8 +43,7 @@ from repro.lf.syntax import (
     spine,
 )
 from repro.logic.formulas import Atom, Truth, conjuncts
-from repro.logic.terms import App, OPS, WORD_MOD
-from repro.proof.rules import RULES
+from repro.logic.terms import App, Int, OPS, WORD_MOD
 
 SideCondition = Callable[[Sequence[LfTerm]], bool]
 
@@ -127,15 +128,16 @@ def _arrows(*types) -> LfTerm:
 
 # -- side conditions ---------------------------------------------------------
 
-def _delegate(rule: str, goal_builder) -> SideCondition:
-    """Build a side condition that decodes the spine and re-checks the
-    corresponding Delta rule (ignoring its premise obligations, which the
-    LF type already enforces)."""
+def _delegate(rule: str, goal, params=lambda args: ()) -> SideCondition:
+    """Build a side condition that decodes the spine into the ``goal`` and
+    ``params`` of an instance of the arithmetic schema ``rule`` and runs
+    the schema (ignoring its premise obligations, which the LF type
+    already enforces)."""
+    schema = SCHEMAS[rule]
 
     def condition(args: Sequence[LfTerm]) -> bool:
         try:
-            goal = goal_builder(args)
-            RULES[rule](goal, (), {})
+            schema(goal(args), params(args), {})
         except (LfError, ProofError):
             return False
         return True
@@ -147,30 +149,11 @@ def _dt(term: LfTerm):
     return decode_logic_term(term)
 
 
-def _sc_arith_eval(args: Sequence[LfTerm]) -> bool:
-    try:
-        goal = decode_logic_formula(args[0])
-        RULES["arith_eval"](goal, (), {})
-    except (LfError, ProofError):
-        return False
-    return True
-
-
-def _sc_linarith(args: Sequence[LfTerm]) -> bool:
-    try:
-        premises_formula = decode_logic_formula(args[0])
-        goal = decode_logic_formula(args[1])
-        if isinstance(premises_formula, Truth):
-            premises: tuple = ()
-        else:
-            parts = conjuncts(premises_formula)
-            if not all(isinstance(part, Atom) for part in parts):
-                return False
-            premises = tuple(parts)
-        RULES["linarith"](goal, premises + (_weights(args[2]),), {})
-    except (LfError, ProofError):
-        return False
-    return True
+def _linarith_params(args: Sequence[LfTerm]) -> tuple:
+    """The premise atoms of the ``a`` conjunction, then the weights."""
+    premises = decode_logic_formula(args[0])
+    parts = () if isinstance(premises, Truth) else tuple(conjuncts(premises))
+    return parts + (_weights(args[2]),)
 
 
 def _weights(cert: LfTerm) -> tuple[int, ...]:
@@ -191,8 +174,16 @@ def _mk_eq(a, b) -> Atom:
     return Atom("eq", (a, b))
 
 
+def _shift_trunc_le(a: Sequence[LfTerm]) -> Atom:
+    x, k = _dt(a[0]), _dt(a[1])
+    return Atom("le", (App("sll64", (App("srl64", (x, k)), k)),
+                       App("mod64", (x,))))
+
+
+#: Signature constant -> (side condition, the spine length it needs).
 _SC = {
-    "arith_eval": (_sc_arith_eval, 1),
+    "arith_eval": (_delegate(
+        "arith_eval", lambda a: decode_logic_formula(a[0])), 1),
     "mod_word": (_delegate(
         "mod_word",
         lambda a: _mk_eq(App("mod64", (_dt(a[0]),)), _dt(a[0]))), 1),
@@ -202,10 +193,10 @@ _SC = {
                          App("mod64", (_dt(a[1]),)))), 2),
     "word_ge0": (_delegate(
         "word_ge0",
-        lambda a: Atom("ge", (_dt(a[0]), _int(0)))), 1),
+        lambda a: Atom("ge", (_dt(a[0]), Int(0)))), 1),
     "word_lt_mod": (_delegate(
         "word_lt_mod",
-        lambda a: Atom("lt", (_dt(a[0]), _int(WORD_MOD)))), 1),
+        lambda a: Atom("lt", (_dt(a[0]), Int(WORD_MOD)))), 1),
     "and_ubound": (_delegate(
         "and_ubound",
         lambda a: Atom("le", (App("and64", (_dt(a[0]), _dt(a[1]))),
@@ -213,11 +204,11 @@ _SC = {
     "and_mask_disjoint": (_delegate(
         "and_mask_disjoint",
         lambda a: _mk_eq(App("and64", (App("and64", (_dt(a[0]), _dt(a[1]))),
-                                       _dt(a[2]))), _int(0))), 3),
+                                       _dt(a[2]))), Int(0))), 3),
     "add_align": (_delegate(
         "add_align",
         lambda a: _mk_eq(App("and64", (App("add64", (_dt(a[0]), _dt(a[1]))),
-                                       _dt(a[2]))), _int(0))), 5),
+                                       _dt(a[2]))), Int(0))), 5),
     "srl_bound": (_delegate(
         "srl_bound",
         lambda a: Atom("lt", (App("srl64", (_dt(a[0]), _dt(a[1]))),
@@ -225,7 +216,7 @@ _SC = {
     "sll_align": (_delegate(
         "sll_align",
         lambda a: _mk_eq(App("and64", (App("sll64", (_dt(a[0]), _dt(a[1]))),
-                                       _dt(a[2]))), _int(0))), 3),
+                                       _dt(a[2]))), Int(0))), 3),
     "extbl_bound": (_delegate(
         "ext_bound",
         lambda a: Atom("lt", (App("extbl", (_dt(a[0]), _dt(a[1]))),
@@ -244,71 +235,26 @@ _SC = {
             App("or64", (App("and64", (_dt(a[0]), _dt(a[1]))), _dt(a[2]))),
             App("add64", (App("and64", (_dt(a[0]), _dt(a[1]))),
                           _dt(a[2]))))), 4),
-    "linarith": (_sc_linarith, 4),
+    "linarith": (_delegate(
+        "linarith", lambda a: decode_logic_formula(a[1]),
+        _linarith_params), 4),
+    "sll_ubound": (_delegate(
+        "sll_ubound",
+        lambda a: Atom("le", (App("sll64", (_dt(a[0]), _dt(a[1]))),
+                              _dt(a[3]))),
+        lambda a: (_dt(a[2]),)), 6),
+    "shift_trunc_le": (_delegate("shift_trunc_le", _shift_trunc_le), 2),
+    "sll_lt_of_srl": (_delegate(
+        "sll_lt_of_srl",
+        lambda a: Atom("lt", (App("sll64", (_dt(a[0]), _dt(a[1]))),
+                              App("mod64", (_dt(a[2]),)))),
+        lambda a: (_dt(a[2]),)), 4),
+    # The wide mask is a rule *parameter*, the narrow one is in the goal.
+    "and_submask": (_delegate(
+        "and_submask",
+        lambda a: _mk_eq(App("and64", (_dt(a[0]), _dt(a[2]))), Int(0)),
+        lambda a: (_dt(a[1]),)), 4),
 }
-
-
-def _sc_sll_ubound(args: Sequence[LfTerm]) -> bool:
-    try:
-        a = _dt(args[0])
-        k = _dt(args[1])
-        m = _dt(args[2])
-        c = _dt(args[3])
-        goal = Atom("le", (App("sll64", (a, k)), c))
-        RULES["sll_ubound"](goal, (m,), {})
-    except (LfError, ProofError):
-        return False
-    return True
-
-
-_SC["sll_ubound"] = (_sc_sll_ubound, 6)
-
-
-def _sc_shift_trunc_le(args: Sequence[LfTerm]) -> bool:
-    try:
-        a = _dt(args[0])
-        k = _dt(args[1])
-        inner = App("srl64", (a, k))
-        goal = Atom("le", (App("sll64", (inner, k)), App("mod64", (a,))))
-        RULES["shift_trunc_le"](goal, (), {})
-    except (LfError, ProofError):
-        return False
-    return True
-
-
-def _sc_sll_lt_of_srl(args: Sequence[LfTerm]) -> bool:
-    try:
-        a = _dt(args[0])
-        k = _dt(args[1])
-        b = _dt(args[2])
-        goal = Atom("lt", (App("sll64", (a, k)), App("mod64", (b,))))
-        RULES["sll_lt_of_srl"](goal, (b,), {})
-    except (LfError, ProofError):
-        return False
-    return True
-
-
-_SC["shift_trunc_le"] = (_sc_shift_trunc_le, 2)
-_SC["sll_lt_of_srl"] = (_sc_sll_lt_of_srl, 4)
-
-
-def _sc_and_submask(args: Sequence[LfTerm]) -> bool:
-    """and_submask carries its wide mask as a rule *parameter*, so the
-    delegate pattern does not fit; re-check the literal condition here."""
-    try:
-        goal = _mk_eq(App("and64", (_dt(args[0]), _dt(args[2]))), _int(0))
-        RULES["and_submask"](goal, (_dt(args[1]),), {})
-    except (LfError, ProofError):
-        return False
-    return True
-
-
-_SC["and_submask"] = (_sc_and_submask, 4)
-
-
-def _int(value: int):
-    from repro.logic.terms import Int
-    return Int(value)
 
 
 # -- the signature -----------------------------------------------------------

@@ -12,7 +12,7 @@ Machine operators are *total*: they reduce their integer operands modulo
 2**64 before computing, so a term like ``add64(x, y)`` always denotes a
 value in ``[0, 2**64)`` no matter what ``x`` and ``y`` denote.  This mirrors
 the paper's circled-plus definition and keeps the arithmetic axiom schemas
-(:mod:`repro.proof.rules`) unconditional.
+(:mod:`repro.lf.arith`) unconditional.
 
 Memory is modelled with ``sel``/``upd`` exactly as in the paper: ``rm`` is a
 pseudo-register holding the whole memory state, ``sel(rm, a)`` reads address

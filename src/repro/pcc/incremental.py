@@ -44,7 +44,7 @@ from repro.alpha.parser import parse_program
 from repro.analysis.cfg import build_cfg
 from repro.errors import CertificationError, LfError, PatchError, PccError
 from repro.lf.binary import deserialize_lf, serialize_lf
-from repro.lf.encode import decode_logic_formula, encode_formula, encode_proof
+from repro.lf.encode import decode_logic_formula, encode_formula
 from repro.lf.syntax import LfConst, LfTerm, lf_app, spine
 from repro.logic.formulas import And, Formula, Truth
 from repro.pcc.container import (
@@ -58,7 +58,7 @@ from repro.pcc.container import (
 )
 from repro.pcc.loader import policy_fingerprint
 from repro.pcc.producer import canonicalize_invariants
-from repro.proof.checker import check_proof
+from repro.proof.encode import encode_proof
 from repro.proof.store import (
     ProofStore,
     frame_sections,
@@ -416,10 +416,11 @@ def certify_incremental(base: bytes | PccBinary, source: str | Program,
     reconstructs (so the loader's content-addressed cache keys line up).
     Proofs are reused per obligation whose formula digest already has a
     stored (or base-harvested) subproof; everything fresh is proved with
-    the ordinary :class:`~repro.prover.Prover` and checked before it is
-    stored.  Raises :class:`CertificationError` on prover failure —
-    i.e. an unsafe changed block fails certification exactly as the
-    from-scratch path would.
+    the ordinary :class:`~repro.prover.Prover` and replayed rule by rule
+    as it is encoded, before it is stored.  Raises
+    :class:`CertificationError` on prover failure — i.e. an unsafe
+    changed block fails certification exactly as the from-scratch path
+    would.
     """
     started = _CLOCK()
     store = store if store is not None else ProofStore()
@@ -463,12 +464,9 @@ def certify_incremental(base: bytes | PccBinary, source: str | Program,
                 reused += 1
                 term_digest = bound
             else:
-                proof = Prover().prove(part)
-                # The producer checks its own work per obligation with
-                # the Delta checker, the same way certify() checks the
-                # whole proof; the LF type check runs at validation.
-                check_proof(proof, part)
-                term = encode_proof(proof, part)
+                # Encoding replays the proof's rules against the
+                # obligation; the LF type check runs at validation.
+                term = encode_proof(Prover().prove(part), part)
                 blob = frame_sections(*serialize_lf(term))
                 term_digest = store.put(term)
                 store.bind(fingerprint, part_key, term_digest)

@@ -31,16 +31,12 @@ from dataclasses import dataclass
 
 from repro.errors import CertificationError, PccError, ValidationError
 from repro.lf.binary import deserialize_lf, serialize_lf
-from repro.lf.encode import (
-    decode_logic_formula,
-    encode_formula,
-    encode_proof,
-)
+from repro.lf.encode import decode_logic_formula, encode_formula
 from repro.lf.signature import SIGNATURE
 from repro.lf.syntax import LfApp, LfConst
 from repro.lf.typecheck import check_proof_term
 from repro.logic.formulas import Formula, Implies
-from repro.proof.checker import check_proof
+from repro.proof.encode import encode_proof
 from repro.prover import Prover
 from repro.vcgen.policy import SafetyPolicy
 
@@ -106,15 +102,13 @@ def propose_policy(base: SafetyPolicy,
     """
     implication = Implies(base.precondition, proposed_precondition)
     try:
-        proof = Prover().prove(implication)
-        check_proof(proof, implication)
+        proof_lf = encode_proof(Prover().prove(implication), implication)
     except PccError as error:
         raise CertificationError(
             f"cannot justify proposed policy: {error}") from error
     pre_table, pre_stream = serialize_lf(
         encode_formula(proposed_precondition, {}, 0))
-    proof_table, proof_stream = serialize_lf(
-        encode_proof(proof, implication))
+    proof_table, proof_stream = serialize_lf(proof_lf)
     return PolicyProposal(pre_table, pre_stream, proof_table, proof_stream)
 
 

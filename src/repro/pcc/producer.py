@@ -2,10 +2,10 @@
 
 :func:`certify` takes assembly source (or a parsed program), a safety
 policy, and optional loop invariants; it computes the safety predicate,
-proves it with the automatic prover, double-checks the proof with the
-trusted Delta checker (a free sanity check — the paper's producer has every
-incentive to ship only valid proofs), encodes everything in LF, and packs
-the PCC binary.
+proves it with the automatic prover, encodes the proof in LF and packs the
+PCC binary.  The encoder replays every rule of the proof against the
+predicate, so a wrong proof fails here instead of shipping (the paper's
+producer has every incentive to ship only valid proofs).
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from repro.alpha.encoding import encode_program
 from repro.alpha.isa import Program
 from repro.alpha.parser import parse_program
 from repro.errors import CertificationError, PccError
-from repro.lf.encode import encode_formula, encode_proof, decode_logic_formula
+from repro.lf.encode import encode_formula, decode_logic_formula
 from repro.logic.formulas import Formula
 from repro.pcc.container import PccBinary, pack_invariants, pack_proof
-from repro.proof.checker import check_proof
+from repro.proof.encode import encode_proof
 from repro.proof.proofs import Proof
 from repro.prover import Prover
 from repro.vcgen.policy import SafetyPolicy
@@ -72,9 +72,6 @@ def certify(source: str | Program, policy: SafetyPolicy,
         predicate = safety_predicate(program, policy.precondition,
                                      policy.postcondition, canonical)
         proof = Prover().prove(predicate)
-        # The producer checks its own work before shipping.
-        check_proof(proof, predicate)
-
         proof_lf = encode_proof(proof, predicate)
         relocation, proof_bytes = pack_proof(proof_lf)
         invariant_bytes = pack_invariants(

@@ -1,4 +1,4 @@
-"""Measurement pipelines for the paper's evaluation (Figure 8, Table 1).
+"""Measurement pipelines for the paper's evaluation (Figure 8).
 
 Each *approach* turns a filter into something executable and then filters
 the whole trace, counting cost-model cycles and wall time:
@@ -169,41 +169,3 @@ def run_figure8(trace: list[bytes],
                    for approach in approaches}
         benchmarks.append(FilterBenchmark(spec.name, results))
     return benchmarks
-
-
-def run_table1(filters: tuple[FilterSpec, ...] = FILTERS,
-               repeats: int = 3) -> list[dict]:
-    """Instruction counts, PCC binary sizes, validation times and peak
-    validation memory — the rows of Table 1.
-
-    The container blob is parsed once and reused, and the memory
-    measurement rides the first of the ``repeats`` timed validations
-    instead of a fourth full run (tracemalloc slows that run down, so
-    ``min`` over the remaining repeats still reports an unperturbed
-    time; with ``repeats=1`` the measured run is all there is).
-    """
-    from repro.filters.policy import packet_filter_policy
-    from repro.pcc import certify, validate
-    from repro.pcc.container import PccBinary
-
-    policy = packet_filter_policy()
-    rows = []
-    for spec in filters:
-        certified = certify(spec.source, policy)
-        blob = certified.binary.to_bytes()
-        binary = PccBinary.from_bytes(blob)
-        reports = [validate(binary, policy, measure_memory=(index == 0))
-                   for index in range(max(repeats, 1))]
-        timed = reports[1:] if len(reports) > 1 else reports
-        rows.append({
-            "filter": spec.name,
-            "instructions": len(certified.program),
-            "binary_bytes": certified.binary.size,
-            "code_bytes": len(certified.binary.code),
-            "relocation_bytes": len(certified.binary.relocation),
-            "proof_bytes": len(certified.binary.proof),
-            "validation_seconds": min(report.validation_seconds
-                                      for report in timed),
-            "peak_memory_kb": reports[0].peak_memory_bytes / 1024,
-        })
-    return rows

@@ -1,4 +1,8 @@
-"""The trusted proof checker for the rule set Delta.
+"""The reference proof checker for the rule set Delta.
+
+The consumer never runs it (it type-checks the LF encoding instead); the
+test suite uses it as an independent second validator of every shipped
+proof (``tests/pcc/test_cross_checkers.py``).
 
 Checking is a single top-down pass: at each node the rule function computes
 the premise obligations from the goal and parameters, and the checker

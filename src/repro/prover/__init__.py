@@ -10,9 +10,10 @@ linear-arithmetic pipeline that bridges machine operators to pure integer
 arithmetic).
 
 Like the paper's prover this is a *producer-side, untrusted* component:
-everything it emits is re-checked by the trusted checkers.  It is complete
-enough to certify every program shipped in this repository fully
-automatically — the paper reports the same experience for packet filters.
+the encoder replays every rule it emits, and the consumer's LF type
+checker checks the proof that ships.  It is complete enough to certify
+every program shipped in this repository fully automatically — the paper
+reports the same experience for packet filters.
 """
 
 from repro.prover.prover import Prover, prove_safety_predicate

@@ -7,16 +7,10 @@ they suggest is re-validated by the rule functions in
 
 from __future__ import annotations
 
-from repro.logic.formulas import Atom, Formula
+from repro.lf.arith import WORD_VALUED_OPS, _linear_form  # shared, deliberately
+from repro.logic.formulas import Atom
 from repro.logic.pretty import pp_term
-from repro.logic.terms import App, Int, Term, Var, WORD_MOD, all_subterms
-from repro.proof.rules import _linear_form  # shared, deliberately
-
-#: Operators whose results always lie in [0, 2^64) (mirror of rules.py).
-WORD_VALUED_OPS = frozenset((
-    "add64", "sub64", "mul64", "and64", "or64", "xor64", "sll64", "srl64",
-    "mod64", "cmpeq", "cmpult", "cmpule", "extbl", "extwl", "extll", "sel",
-))
+from repro.logic.terms import App, Int, Term, Var, WORD_MOD
 
 
 def is_word_valued(term: Term) -> bool:
@@ -85,18 +79,6 @@ def linear_difference(term: Term, base: Term) -> Term | None:
         result = const_term if result is None else App(
             "add64", (result, const_term))
     return result
-
-
-def comparison_subterms(formula: Formula | None, *terms: Term) -> set[Term]:
-    """All subterms of the given atom arguments — the candidate set for
-    bound-lemma enrichment in the linear pipeline."""
-    found: set[Term] = set()
-    if isinstance(formula, Atom):
-        for arg in formula.args:
-            found.update(all_subterms(arg))
-    for term in terms:
-        found.update(all_subterms(term))
-    return found
 
 
 def is_linear_atom(atom: Atom) -> bool:

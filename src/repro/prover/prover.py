@@ -29,6 +29,7 @@ import itertools
 import math
 
 from repro.errors import ProofError, ProverError
+from repro.lf.arith import _constraints_of, _linear_form, linarith_rows
 from repro.logic.formulas import (
     And,
     Atom,
@@ -55,7 +56,7 @@ from repro.logic.terms import (
     all_subterms,
 )
 from repro.proof.proofs import Proof
-from repro.proof.rules import RULES, _constraints_of, linarith_rows
+from repro.proof.rules import RULES
 from repro.prover.arith import (
     is_linear_atom,
     is_word_valued,
@@ -83,7 +84,6 @@ def _constant_value(term: Term) -> int | None:
     its linear normal form modulo 2^64 is constant; None otherwise."""
     if not is_word_valued(term):
         return None
-    from repro.proof.rules import _linear_form
     form = _linear_form(term, WORD_MOD)
     if not form:
         return 0
@@ -94,7 +94,6 @@ def _constant_value(term: Term) -> int | None:
 
 def _linear_atoms_of(atom: Atom) -> frozenset[Term]:
     """The opaque atoms of the comparison's linear decomposition."""
-    from repro.proof.rules import _linear_form
     found: set[Term] = set()
     for arg in atom.args:
         found.update(key for key in _linear_form(arg, None)
@@ -701,7 +700,6 @@ class Prover:
             return None
         current = left
         proof = Proof("eqrefl")
-        goal_so_far = eq(left, left)
         for position in range(len(left.args)):
             a = current.args[position]
             b = right.args[position]
@@ -718,7 +716,6 @@ class Prover:
             current = App(left.op, tuple(new_args))
             proof = Proof("eqsub", (template, _HOLE, a, b),
                           (arg_eq, proof))
-            goal_so_far = eq(left, current)
         if current != right:
             return None
         return proof

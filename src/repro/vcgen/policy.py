@@ -1,8 +1,8 @@
 """Safety policies: the consumer-published contract (paper §2.1).
 
 A policy bundles the three parts the paper lists: the VC generator (shared,
-:mod:`repro.vcgen.vcgen`), the proof rule set Delta (shared,
-:mod:`repro.proof.rules`), and the policy-specific *precondition* and
+:mod:`repro.vcgen.vcgen`), the proof rules (shared: the LF signature,
+:mod:`repro.lf.signature`), and the policy-specific *precondition* and
 *postcondition*.  For testing we also attach a semantic interpretation of
 the ``rd``/``wr`` predicates, so the abstract machine can actually enforce
 the policy on concrete states — that is how the suite exercises the Safety

@@ -114,6 +114,5 @@ class TestPerformanceClaim:
     def test_core_loop_is_8_instructions(self):
         """The paper's core loop is 8 instructions; ours is 7 (loop body
         plus the compare at `check`)."""
-        program = parse_program(CHECKSUM_SOURCE)
         # instructions from `loop:` (pc 3) to BNE (inclusive)
         assert 7 <= 11 - CHECKSUM_LOOP_PC + 1 <= 9

@@ -15,7 +15,6 @@ from repro.lf.encode import (
     decode_logic_formula,
     decode_logic_term,
     encode_formula,
-    encode_proof,
     encode_term,
 )
 from repro.lf.signature import SIGNATURE
@@ -35,6 +34,7 @@ from repro.logic.formulas import (
 )
 from repro.logic.terms import Int, Var, add64, and64, mod64, sel, srl64
 from repro.proof.checker import check_proof
+from repro.proof.encode import encode_proof
 from repro.proof.proofs import Proof
 
 
@@ -155,3 +155,17 @@ class TestProofEncoding:
     def test_invalid_proof_rejected_by_encoder(self):
         with pytest.raises(LfError):
             encode_proof(Proof("truei"), eq(1, 2))
+
+    def test_unknown_rule_rejected_by_encoder(self):
+        with pytest.raises(LfError, match="unknown rule"):
+            encode_proof(Proof("no_such_rule"), eq(1, 1))
+
+    def test_shared_subproof_replayed_under_each_hypothesis(self):
+        """One ``impi h. hyp h`` node proves ``A => A`` but not
+        ``B => A``: the second use binds ``h`` to another formula at the
+        same depth, so the memo may not answer for it."""
+        a, b = eq(1, 1), eq(2, 2)
+        shared = Proof("impi", ("h",), (Proof("hyp", ("h",)),))
+        with pytest.raises(LfError, match="does not match"):
+            encode_proof(Proof("andi", (), (shared, shared)),
+                         And(Implies(a, a), Implies(b, a)))

@@ -6,11 +6,12 @@ development (normalize and subst on shared LF nodes)."""
 import time
 
 from repro.lf.binary import deserialize_lf, serialize_lf
-from repro.lf.encode import encode_formula, encode_proof
+from repro.lf.encode import encode_formula
 from repro.lf.signature import SIGNATURE
 from repro.lf.syntax import LfApp, LfConst
 from repro.lf.typecheck import check_proof_term
 from repro.pcc import certify
+from repro.proof.encode import encode_proof
 
 
 def _chain(depth: int) -> str:

@@ -10,12 +10,13 @@ small artifacts; scaling is the primary checker's job.)
 import pytest
 
 from repro.errors import LfError
-from repro.lf.encode import encode_formula, encode_proof
+from repro.lf.encode import encode_formula
 from repro.lf.minicheck import MiniChecker, minicheck_proof
 from repro.lf.signature import SIGNATURE
 from repro.lf.syntax import LfApp, LfConst, LfInt, LfLam, LfVar, lf_app
 from repro.lf.typecheck import check_proof_term, infer_type
 from repro.logic.formulas import Falsity, eq, lt
+from repro.proof.encode import encode_proof
 
 
 def _expected(certified):

@@ -20,8 +20,18 @@ from repro.lf.syntax import (
     whnf,
 )
 from repro.lf.typecheck import check_proof_term, infer_type
-from repro.logic.formulas import Implies, ge, le
-from repro.logic.terms import WORD_MOD, Var, sll64
+from repro.logic.formulas import Implies, eq, ge, le, lt
+from repro.logic.terms import (
+    WORD_MOD,
+    Int,
+    Var,
+    and64,
+    extbl,
+    extll,
+    extwl,
+    sll64,
+    srl64,
+)
 from repro.proof.rules import RULES
 
 
@@ -122,3 +132,69 @@ class TestSllUbound:
     def test_rejects_a_shift_that_wraps(self):
         with pytest.raises(LfError, match="sll_ubound"):
             self._check(3, 1 << 61, WORD_MOD - 1)
+
+
+class TestLiteralBounds:
+    """The side conditions no corpus proof reaches, through the LF
+    checker: each accepts a valid instance and rejects the same instance
+    with one literal pushed past its bound."""
+
+    #: (constant, operator, shift, smallest bound): ``constant r1 k c``
+    #: proves ``op(r1, k) < c`` for every literal ``c`` from the bound up.
+    LT_BOUNDS = (
+        ("srl_bound", srl64, 8, 1 << 56),
+        ("extbl_bound", extbl, 0, 1 << 8),
+        ("extwl_bound", extwl, 0, 1 << 16),
+        ("extll_bound", extll, 0, 1 << 32),
+    )
+
+    @staticmethod
+    def _check(goal, constant, *args):
+        proof = lf_app(LfConst(constant), *args)
+        expected = LfApp(LfConst("pf"), encode_formula(goal, {}, 0))
+        check_proof_term(proof, expected, SIGNATURE)
+
+    def _lt_bound(self, constant, op, k, bound):
+        self._check(lt(op(Var("r1"), k), bound), constant, LfConst("r1"),
+                    LfInt(k), LfInt(bound))
+
+    @pytest.mark.parametrize("constant, op, k, bound", LT_BOUNDS)
+    def test_lt_bound_accepts_the_smallest_bound(self, constant, op, k,
+                                                 bound):
+        self._lt_bound(constant, op, k, bound)
+
+    @pytest.mark.parametrize("constant, op, k, bound", LT_BOUNDS)
+    def test_lt_bound_rejects_one_below(self, constant, op, k, bound):
+        with pytest.raises(LfError, match=constant):
+            self._lt_bound(constant, op, k, bound - 1)
+
+    def test_word_lt_mod_accepts_the_largest_word(self):
+        self._check(lt(Int(WORD_MOD - 1), WORD_MOD), "word_lt_mod",
+                    LfInt(WORD_MOD - 1))
+
+    def test_word_lt_mod_rejects_a_literal_past_the_word(self):
+        with pytest.raises(LfError, match="word_lt_mod"):
+            self._check(lt(Int(WORD_MOD), WORD_MOD), "word_lt_mod",
+                        LfInt(WORD_MOD))
+
+    @staticmethod
+    def _submask(wide, narrow):
+        """``impi`` over ``r1 & wide = 0``, then ``and_submask r1 wide
+        narrow h``."""
+        premise = eq(and64(Var("r1"), wide), 0)
+        goal = Implies(premise, eq(and64(Var("r1"), narrow), 0))
+        premise_lf = encode_formula(premise, {}, 0)
+        step = lf_app(LfConst("and_submask"), LfConst("r1"), LfInt(wide),
+                      LfInt(narrow), LfVar(0))
+        proof = lf_app(LfConst("impi"), premise_lf,
+                       encode_formula(goal.right, {}, 0),
+                       LfLam(LfApp(LfConst("pf"), premise_lf), step))
+        expected = LfApp(LfConst("pf"), encode_formula(goal, {}, 0))
+        check_proof_term(proof, expected, SIGNATURE)
+
+    def test_and_submask_accepts_a_narrower_mask(self):
+        self._submask(0xFF, 0x0F)
+
+    def test_and_submask_rejects_a_wider_mask(self):
+        with pytest.raises(LfError, match="and_submask"):
+            self._submask(0x0F, 0xFF)

@@ -6,7 +6,9 @@ import pytest
 from repro.errors import CertificationError
 from repro.logic.formulas import Forall, Implies, conj, eq, ge, lt, rd
 from repro.logic.terms import Var, add64, and64
+from repro.pcc import producer
 from repro.pcc.producer import CertificationResult, canonicalize_invariants, certify
+from repro.proof.proofs import Proof
 from repro.vcgen.policy import word_identity
 from tests.conftest import RESOURCE_ACCESS_SOURCE
 
@@ -60,3 +62,33 @@ class TestCertifyApi:
     def test_prover_failure_wrapped(self, resource_policy):
         with pytest.raises(CertificationError):
             certify("LDQ r0, 16(r0)\nRET", resource_policy)
+
+
+class TestBadProofsFailCertification:
+    """The encoder replays every rule against the predicate, so a prover
+    bug surfaces as a certification error, never as a shipped binary."""
+
+    def _certify_with(self, proof, monkeypatch, resource_policy,
+                      source=RESOURCE_ACCESS_SOURCE):
+        class StubProver:
+            def prove(self, goal):
+                return proof
+
+        monkeypatch.setattr(producer, "Prover", StubProver)
+        return certify(source, resource_policy)
+
+    def test_unknown_rule(self, monkeypatch, resource_policy):
+        with pytest.raises(CertificationError, match="unknown rule"):
+            self._certify_with(Proof("no_such_rule"), monkeypatch,
+                               resource_policy)
+
+    def test_proof_of_the_wrong_goal(self, monkeypatch, resource_policy,
+                                     resource_certified):
+        """Figure 5's own proof, shipped for Figure 5 without the tag
+        test that guards its store, proves the wrong predicate."""
+        source = RESOURCE_ACCESS_SOURCE.replace(
+            "BEQ  r2, L1       % skip if tag == 0\n", "")
+        assert source != RESOURCE_ACCESS_SOURCE
+        with pytest.raises(CertificationError, match="cannot encode"):
+            self._certify_with(resource_certified.proof, monkeypatch,
+                               resource_policy, source)

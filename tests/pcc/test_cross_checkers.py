@@ -9,12 +9,13 @@ wrong, so this is the deepest consistency test in the suite.
 
 import pytest
 
-from repro.lf.encode import encode_formula, encode_proof
+from repro.lf.encode import encode_formula
 from repro.lf.binary import deserialize_lf, serialize_lf
 from repro.lf.signature import SIGNATURE
 from repro.lf.syntax import LfApp, LfConst
 from repro.lf.typecheck import check_proof_term
 from repro.proof.checker import check_proof
+from repro.proof.encode import encode_proof
 
 
 def _cross_validate(certified):

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.errors import ValidationError
+from repro.lf.arith import linarith_rows
 from repro.lf.encode import encode_formula
 from repro.lf.syntax import (
     LfApp,
@@ -30,7 +31,6 @@ from repro.logic.formulas import conj, le
 from repro.logic.terms import App, Int
 from repro.pcc import validate
 from repro.pcc.container import PccBinary, pack_proof, unpack_proof
-from repro.proof.rules import linarith_rows
 from repro.prover.prover import _farkas
 
 

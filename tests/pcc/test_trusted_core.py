@@ -3,10 +3,10 @@
 The consumer trusts only the code that recomputes the safety predicate
 and type-checks the proof (paper §2.3).  A fresh interpreter that imports
 :mod:`repro.pcc.validate` must load exactly the modules below: no prover,
-analysis, runtime, filter or proof-store code.  Validating a certified
-binary there must import nothing more, and must run at the recursion
-limit the producer certified under, so a verdict never depends on whether
-the process also loaded the prover.
+analysis, runtime, filter, natural-deduction or proof-store code.
+Validating a certified binary there must import nothing more, and must run
+at the recursion limit the producer certified under, so a verdict never
+depends on whether the process also loaded the prover.
 """
 
 import json
@@ -14,6 +14,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from repro.filters.kv import KV_PROGRAMS, kv_packet_policy
+from repro.pcc import certify
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -32,10 +35,9 @@ TRUSTED_MODULES = frozenset({
     "repro.lf.syntax",
     "repro.lf.binary",
     "repro.lf.encode",
+    "repro.lf.arith",
     "repro.lf.signature",
     "repro.lf.typecheck",
-    "repro.proof.proofs",
-    "repro.proof.rules",
     "repro.pcc.container",
     "repro.pcc.validate",
 })
@@ -47,9 +49,11 @@ PACKAGES = frozenset({
     "repro.logic",
     "repro.vcgen",
     "repro.lf",
-    "repro.proof",
     "repro.pcc",
 })
+
+#: The trusted modules' physical lines (``wc -l``) may not grow past this.
+LINE_BUDGET = 4_900
 
 _VALIDATE_ALONE = """
 import json
@@ -73,24 +77,39 @@ print(json.dumps({"imported": imported, "validated": loaded(),
                   "instructions": report.instructions}))
 """
 
-#: Validation of programs whose proofs use ``linarith``.  The policies'
-#: checkers are closures, so the child builds them from the factories.
-_VALIDATE_LINARITH = """
+#: Validation of the corpus, whose proofs use ``linarith``, recording
+#: the modules whose functions run.  The policies' checkers are closures,
+#: so the child builds them from the factories.
+_VALIDATE_CORPUS = """
 import json
 import sys
 
 from repro.pcc.validate import validate
 from repro.filters.checksum import checksum_policy
+from repro.filters.kv import kv_packet_policy
 from repro.filters.policy import packet_filter_policy
 
 blobs = json.loads(sys.stdin.read())
-policies = {"filter4": packet_filter_policy(), "checksum": checksum_policy()}
+policies = {"packet-filter": packet_filter_policy(),
+            "checksum": checksum_policy(), "kv-packet": kv_packet_policy()}
+ran = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        ran.add(frame.f_globals.get("__name__"))
+
+
 before = set(sys.modules)
 instructions = {}
-for name, blob in blobs.items():
-    report = validate(bytes.fromhex(blob), policies[name])
+sys.setprofile(profile)
+for name, (policy, blob) in blobs.items():
+    report = validate(bytes.fromhex(blob), policies[policy])
     instructions[name] = report.instructions
+sys.setprofile(None)
 print(json.dumps({"loaded": sorted(set(sys.modules) - before),
+                  "ran": sorted(name for name in ran if name
+                                and name.split(".")[0] == "repro"),
                   "pretty": "repro.logic.pretty" in sys.modules,
                   "instructions": instructions}))
 """
@@ -129,16 +148,31 @@ def test_validator_imports_only_the_trusted_core(resource_certified):
     assert child["validated"] == child["imported"]
 
 
+def test_trusted_core_fits_its_line_budget():
+    lines = sum((SRC / f"{name.replace('.', '/')}.py").read_text().count("\n")
+                for name in TRUSTED_MODULES)
+    assert lines <= LINE_BUDGET
+
+
 def test_linarith_checks_inside_the_trusted_core(certified_filters,
                                                 checksum_blob):
-    """filter4 and the checksum loop ship ``linarith`` steps: checking
-    their certificates loads no module beyond those already imported, and
-    never the pretty-printer."""
-    blobs = {"filter4": certified_filters["filter4"].binary.to_bytes().hex(),
-             "checksum": checksum_blob.hex()}
-    child = _run(_VALIDATE_LINARITH, json.dumps(blobs).encode())
+    """All nine corpus programs ship ``linarith`` steps: validating them
+    loads no module beyond those already imported, runs no function
+    outside the trusted core, and never the pretty-printer."""
+    blobs = {name: ("packet-filter", certified_filters[name].binary.to_bytes())
+             for name in ("filter1", "filter2", "filter3", "filter4")}
+    blobs["checksum"] = ("checksum", checksum_blob)
+    kv_policy = kv_packet_policy()
+    for spec in KV_PROGRAMS:
+        blobs[spec.name] = ("kv-packet", certify(
+            spec.source, kv_policy,
+            invariants=spec.invariants()).binary.to_bytes())
+    wire = {name: (policy, blob.hex()) for name, (policy, blob) in blobs.items()}
+    child = _run(_VALIDATE_CORPUS, json.dumps(wire).encode())
     assert child["loaded"] == []
+    assert set(child["ran"]) <= TRUSTED_MODULES | PACKAGES
     assert not child["pretty"]
+    assert len(child["instructions"]) == 9
     assert all(child["instructions"].values())
 
 

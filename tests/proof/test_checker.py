@@ -46,7 +46,6 @@ class TestPropositional:
         bad(Proof("andi", (), (Proof("truei"), Proof("truei"))), Truth())
 
     def test_projections(self):
-        conj = And(eq(1, 1), eq(2, 2))
         both = Proof("andi", (), (Proof("eqrefl"), Proof("eqrefl")))
         ok(Proof("andel", (eq(2, 2),), (both,)), eq(1, 1))
         ok(Proof("ander", (eq(1, 1),), (both,)), eq(2, 2))

@@ -10,6 +10,7 @@ tolerate — so these tests deliberately hammer the word-size boundaries.
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProofError
+from repro.lf.arith import linarith_rows
 from repro.logic.formulas import Atom, eq, ge, holds, le, lt, ne
 from repro.logic.terms import (
     App,
@@ -24,7 +25,7 @@ from repro.logic.terms import (
     srl64,
     sub64,
 )
-from repro.proof.rules import RULES, linarith_rows
+from repro.proof.rules import RULES
 from repro.prover.prover import _farkas
 
 # Values biased toward the interesting boundaries.
