@@ -6,8 +6,10 @@ actually *serving* traffic runs many extensions over many packets on
 many cores.  This benchmark drives the full trace through
 :class:`repro.runtime.PacketRuntime` with all four paper filters
 attached and a cycle budget armed, at 1/2/4/8 shards under **both**
-dispatch vehicles (serial dispatch in the calling process and
-shared-nothing forked worker processes), and reports
+dispatch vehicles (serial dispatch in the calling process, and the
+process backend: shard 0 in the calling process plus one shared-nothing
+forked worker per other shard, so its one-shard row forks nothing), and
+reports
 
 * **modeled aggregate throughput** — packets over the busiest shard's
   cycle clock at the Alpha's 175 MHz.  Shards are modeled cores, so

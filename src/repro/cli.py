@@ -217,7 +217,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     report = runtime.serve(replay_trace(trace, args.repeat))
 
     snapshot = runtime.snapshot(extra={"backend": report.backend,
-                                       "wall_seconds": report.wall_seconds})
+                                       "wall_seconds": report.wall_seconds,
+                                       "phase_seconds": report.phase_seconds})
     model = config.cost_model
     print(f"\nserved {report.packets} packets over {config.shards} "
           f"shard(s), {report.backend} backend "
@@ -545,8 +546,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--backend", choices=("serial", "process"),
                          default="serial",
                          help="run the shards serially in this process "
-                              "(default) or on shared-nothing forked "
-                              "workers")
+                              "(default), or shard 0 here and the others "
+                              "on shared-nothing forked workers")
     p_serve.add_argument("--batch-size", type=int, default=8192,
                          help="frames per dispatch chunk on the batched "
                               "hot path")

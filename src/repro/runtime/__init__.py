@@ -22,9 +22,9 @@ its supervised control plane:
   ``pcc chaos``: seeded faults at every layer, recovery invariants
   asserted (healthy verdict streams bit-identical under all faults);
 * :mod:`repro.runtime.backends` — the process backend for
-  :meth:`PacketRuntime.serve`: shared-nothing forked worker processes
-  with deterministic state merge, semantically invisible against the
-  serial default;
+  :meth:`PacketRuntime.serve`: shard 0 in the caller, a shared-nothing
+  forked worker process per other shard, deterministic state merge,
+  semantically invisible against the serial default;
 * :mod:`repro.runtime.shard` — one modeled core: private reusable
   memory, private cycle clock, the one per-frame invocation
   (:meth:`Shard.invoke`) and the batched extension-major hot loop;

@@ -23,16 +23,18 @@ from repro.runtime.versions import CanaryConfig
 class RuntimeConfig:
     """Knobs for :class:`repro.runtime.PacketRuntime`.
 
-    ``shards``            modeled cores (one forked worker each when
-                          :meth:`serve` runs on the process backend)
+    ``shards``            modeled cores (shard 0 in the caller and one
+                          forked worker per other shard when :meth:`serve`
+                          runs on the process backend)
     ``backend``           how :meth:`serve` runs the shards:
                           ``"serial"`` (default; :meth:`dispatch` in the
-                          caller) or ``"process"`` (shared-nothing forked
-                          workers, one per shard, merged deterministically
-                          on join — see :mod:`repro.runtime.backends`)
+                          caller) or ``"process"`` (shard 0 in the caller,
+                          shared-nothing forked workers for the others,
+                          merged deterministically on join — see
+                          :mod:`repro.runtime.backends`)
     ``batch_size``        frames per dispatch chunk on the batched hot
                           path; also the process backend's quarantine-
-                          relay granularity (a worker drains remote
+                          relay granularity (each shard drains remote
                           deactivations between chunks)
     ``cycle_budget``      per-invocation cycle cap; ``None`` disables —
                           overruns fault the extension (liveness policy);

@@ -78,15 +78,26 @@ class DispatchReport:
 
     packets: int
     contract_drops: int
-    wall_seconds: float
+    #: Wall seconds per phase, one reading each per call: ``contract``
+    #: (the frame-size filter), ``fork`` (starting the process
+    #: backend's children), ``execute`` (the shards' slices; on the
+    #: process backend, shard 0 in the caller plus the wait for the
+    #: children) and ``merge`` (folding the children's deltas back).
+    #: Serial dispatch has no fork or merge phase; those read 0.0.
+    phase_seconds: dict[str, float]
     shard_cycles: tuple[int, ...]
     clock_mhz: float
     records: list[dict] | None = None
     #: Which execution vehicle produced this report: "serial" (the
     #: caller's own thread: :meth:`dispatch`, and :meth:`serve` on the
     #: serial backend or a process-backend fallback) or "process"
-    #: (forked workers, :meth:`serve` only).
+    #: (:meth:`serve` on the process backend, which runs shard 0 in the
+    #: caller and forks a worker per other shard — none at one shard).
     backend: str = "serial"
+
+    @property
+    def wall_seconds(self) -> float:
+        return sum(self.phase_seconds.values())
 
     @property
     def modeled_seconds(self) -> float:
@@ -416,6 +427,7 @@ class PacketRuntime:
         The semantics reference for :meth:`serve`: identical verdicts
         and counters, packet order preserved in the collected records.
         """
+        began = time.perf_counter()
         kept, drops = self._apply_contract(frames)
         extensions = self.extensions
         shards = self.shards
@@ -433,9 +445,11 @@ class PacketRuntime:
             for index in range(count):
                 shards[index].dispatch(kept[index::count], extensions,
                                        self.policy)
-        wall = time.perf_counter() - started
+        finished = time.perf_counter()
         return DispatchReport(
-            packets=len(kept), contract_drops=drops, wall_seconds=wall,
+            packets=len(kept), contract_drops=drops,
+            phase_seconds={"contract": started - began, "fork": 0.0,
+                           "execute": finished - started, "merge": 0.0},
             shard_cycles=tuple(shard.cycles - prior for shard, prior
                                in zip(shards, before)),
             clock_mhz=self.config.cost_model.clock_mhz, records=records)
@@ -443,15 +457,15 @@ class PacketRuntime:
     def serve(self, frames) -> DispatchReport:
         """Dispatch on the vehicle ``config.backend`` names.
 
-        ``"serial"`` is :meth:`dispatch` itself.  ``"process"`` forks one
-        shared-nothing worker per shard, frames interleaved round-robin
-        so the modeled cores stay balanced, and merges their counters
-        deterministically on join (see :mod:`repro.runtime.backends`);
-        without ``os.fork``, or while a canary is in flight, it falls
-        back to :meth:`dispatch`.  Verdicts, cycle clocks, and
-        per-extension counters are bit-identical either way; only
-        ``wall_seconds`` and the report's ``backend`` tag depend on the
-        vehicle.
+        ``"serial"`` is :meth:`dispatch` itself.  ``"process"`` runs
+        shard 0 in the caller and forks one shared-nothing worker for
+        each other shard, frames interleaved round-robin so the modeled
+        cores stay balanced, and merges their counters deterministically
+        on join (see :mod:`repro.runtime.backends`); without
+        ``os.fork``, or while a canary is in flight, it falls back to
+        :meth:`dispatch`.  Verdicts, cycle clocks, and per-extension
+        counters are bit-identical either way; only the report's
+        ``phase_seconds`` and ``backend`` tag depend on the vehicle.
         """
         if self.config.backend == "process":
             from repro.runtime.backends import ProcessBackend
