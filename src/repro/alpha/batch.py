@@ -14,9 +14,10 @@ over a list of frames and evaluates the whole filter inline per frame.
 It is a partial evaluator specialized to the packet-filter invocation
 contract (:class:`FramePlan`):
 
-* the program's DAG of basic blocks is inlined into a decision *tree*
-  (diamonds are duplicated, loops are rejected), so each root-to-leaf
-  path is straight-line code guarded by the original branch conditions;
+* the program's DAG of basic blocks (:func:`~repro.analysis.cfg
+  .build_cfg`; loops are rejected) is inlined into a decision *tree*
+  (diamonds are duplicated), so each root-to-leaf path is straight-line
+  code guarded by the original branch conditions;
 * registers are evaluated symbolically: r1/r3 are the plan's constant
   bases, r2 is the frame length, everything else starts at 0, and all
   arithmetic over compile-time constants is folded with the ISA's one
@@ -25,7 +26,8 @@ contract (:class:`FramePlan`):
   not fold is emitted from the engine's code-generation table
   (``OPERATE_PY`` and ``BRANCH_PY`` in :mod:`repro.alpha.isa`) unless
   the ranges below license a rewrite;
-* every symbolic value carries an interval ``[min, max]`` and a
+* every symbolic value carries a range in the analyzer's one value
+  domain (:mod:`repro.analysis.intervals`) and a
   known-trailing-zero-bits count.  The ranges prove most ``& 2**64-1``
   wrap masks redundant (the operands cannot overflow), fold branches
   and compares whose outcome is range-determined, let comparisons emit
@@ -90,9 +92,18 @@ from repro.alpha.isa import (
     Ret,
     Stq,
     block_exits,
-    block_partition,
     operate,
 )
+from repro.analysis.cfg import ControlFlowGraph, build_cfg
+from repro.analysis.intervals import (
+    TOP,
+    Interval,
+    _wrap,
+    const,
+    operate_interval,
+    refine_branch,
+)
+from repro.analysis.wcet import block_cycles
 from repro.errors import BudgetExceeded, MachineError
 
 __all__ = ["BatchRunner", "FramePlan", "batch_capability", "compile_batch"]
@@ -170,73 +181,29 @@ class BatchRunner:
         return self._budgeted(frames, start, cycle_budget)
 
 
-class _BlockGraph(NamedTuple):
-    """The driver's block DAG: per-leader step and cycle charges (the
-    engine's, over the same :func:`~repro.alpha.isa.block_partition`)
-    and the worst-case path cost from pc 0."""
-
-    block_len: dict[int, int]
-    block_cost: dict[int, int]
-    max_path_cycles: int
-
-
-def _block_graph(program: Program, cost_model,
-                 max_steps: int) -> _BlockGraph:
-    """Check the fast path's preconditions and size the block DAG in one
-    pass; raises :class:`_Fallback` naming the first one that fails."""
+def _preconditions(program: Program, max_steps: int) -> ControlFlowGraph:
+    """Check the fast path's preconditions and return the program's CFG;
+    raises :class:`_Fallback` naming the first one that fails."""
     for pc, instruction in enumerate(program):
         if isinstance(instruction, Stq):
             raise _Fallback(f"store at pc={pc}: the driver folds scratch "
                             f"reads to zero, so stores take the generic "
                             f"engine")
-    size = len(program)
-    costs = [cost_model.cycles(ins) if cost_model else 1 for ins in program]
-    block_len: dict[int, int] = {}
-    block_cost: dict[int, int] = {}
-    for start, end in block_partition(program):
-        block_len[start] = end - start
-        block_cost[start] = sum(costs[start:end])
-
-    def successors(leader: int) -> list[int]:
-        """In-program successors; a trap costs nothing further."""
-        exits = block_exits(program, leader + block_len[leader])
-        return [succ for succ in exits
-                if succ is not None and 0 <= succ < size]
-
-    # Depth-first over the blocks reachable from pc 0, on an explicit
-    # stack: a chain of blocks can be longer than the recursion limit.
-    # A successor still on the stack closes a loop.  The maxima bound
-    # every path, which the step-limit refusal and the budget elision
-    # rest on.
-    max_cycles: dict[int, int] = {}
-    max_steps_from: dict[int, int] = {}
-    stack = [(0, iter(successors(0)))] if size else []
-    on_stack = {0}
-    while stack:
-        leader, pending = stack[-1]
-        for succ in pending:
-            if succ in on_stack:
-                raise _Fallback(f"loop through pc={succ}: the inlined "
-                                f"tree would be infinite")
-            if succ not in max_cycles:
-                on_stack.add(succ)
-                stack.append((succ, iter(successors(succ))))
-                break
-        else:
-            stack.pop()
-            on_stack.discard(leader)
-            done = successors(leader)
-            max_cycles[leader] = block_cost[leader] + max(
-                (max_cycles[succ] for succ in done), default=0)
-            max_steps_from[leader] = block_len[leader] + max(
-                (max_steps_from[succ] for succ in done), default=0)
-
-    if size and max_steps_from[0] >= max_steps:
+    cfg = build_cfg(program)
+    if cfg.retreating_edges:
+        header = cfg.blocks[cfg.retreating_edges[0][1]]
+        raise _Fallback(f"loop through pc={header.start}: the inlined "
+                        f"tree would be infinite")
+    # The longest path bounds every path, which the step-limit refusal
+    # and the budget elision rest on.
+    steps = cfg.longest_path([block.end - block.start
+                              for block in cfg.blocks])
+    if cfg.blocks and steps >= max_steps:
         # The reference could trip its step limit mid-run; the driver
         # elides that check, so it may not serve here.
-        raise _Fallback(f"worst-case path of {max_steps_from[0]} steps "
-                        f"reaches the {max_steps}-step limit")
-    return _BlockGraph(block_len, block_cost, max_cycles.get(0, 0))
+        raise _Fallback(f"worst-case path of {steps} steps reaches the "
+                        f"{max_steps}-step limit")
+    return cfg
 
 
 def batch_capability(program: Program,
@@ -250,7 +217,7 @@ def batch_capability(program: Program,
     non-batchable program can never blow up mid-admission.
     """
     try:
-        _block_graph(program, None, max_steps)
+        _preconditions(program, max_steps)
     except _Fallback as reason:
         return str(reason)
     return None
@@ -262,33 +229,44 @@ def compile_batch(program: Program, cost_model, plan: FramePlan,
     the program falls outside the fast path's preconditions (see the
     module docstring) and the caller should use the generic engine."""
     try:
-        graph = _block_graph(program, cost_model, max_steps)
-        plain = _emit_driver(program, plan, graph, budgeted=False)
-        budgeted = _emit_driver(program, plan, graph, budgeted=True)
+        cfg = _preconditions(program, max_steps)
+        # Without a cost model every instruction costs one cycle.
+        costs = block_cycles(cfg, cost_model) if cost_model else [
+            block.end - block.start for block in cfg.blocks]
+        plain = _emit_driver(cfg, costs, plan, budgeted=False)
+        budgeted = _emit_driver(cfg, costs, plan, budgeted=True)
     except _Fallback:
         return None
-    return BatchRunner(plain, budgeted, graph.max_path_cycles)
+    return BatchRunner(plain, budgeted, cfg.longest_path(costs))
 
 
 # ---------------------------------------------------------------------------
 # The partial evaluator.
 #
 # Register state during emission is a dict index -> value, where a value
-# is ("k", int) for a compile-time constant or ("e", text, min, max, kz)
-# for a Python expression over frame-dependent data annotated with an
-# interval bound and a known-trailing-zero-bit count.  Expression texts
-# are either bare names (flen, t<N>) or fully parenthesized, and
-# reference only single-assignment temporaries — so inlining one into
-# several consumers or into both arms of a branch can never change its
-# meaning, and equal texts denote equal values (which is what makes the
-# per-path materialization memo a sound CSE).
+# is ("k", int) for a compile-time constant or ("e", text, range, kz,
+# tag) for a Python expression over frame-dependent data: an
+# :class:`~repro.analysis.intervals.Interval` (a one-point range folds
+# to the constant), then what only code generation reads, a
+# known-trailing-zero-bit count and a provenance tag (or None).
+# Expression texts are either bare names (flen, t<N>) or fully
+# parenthesized, and reference only single-assignment temporaries — so
+# inlining one into several consumers or into both arms of a branch can
+# never change its meaning, and equal texts denote equal values (which
+# is what makes the per-path materialization memo a sound CSE).
 
-def _info(val) -> tuple[int, int, int]:
-    """``(min, max, trailing-zero bits)`` for a symbolic value."""
+def _info(val) -> tuple[Interval, int]:
+    """``(range, trailing-zero bits)`` for a symbolic value."""
     if val[0] == "k":
-        v = val[1]
-        return v, v, ((v & -v).bit_length() - 1 if v else 64)
-    return val[2], val[3], val[4]
+        return const(val[1]), _tz(val[1])
+    return val[2], val[3]
+
+
+def _value(text: str, span: Interval, kz: int, tag=None):
+    """A symbolic value, or the constant its one-point range pins."""
+    if span.is_constant:
+        return ("k", span.lo)
+    return ("e", text, span, kz, tag)
 
 
 def _tz(value: int) -> int:
@@ -296,17 +274,21 @@ def _tz(value: int) -> int:
 
 
 def _add_const(val, c: int):
-    """``(val + c) & 2**64-1`` as a symbolic value (``val`` is an "e")."""
+    """``(val + c) & 2**64-1`` as a symbolic value."""
+    if val[0] == "k":
+        return ("k", (val[1] + c) & WORD_MASK)
     if c == 0:
         return val
-    mn, mx, kz = _info(val)
-    kz = min(kz, _tz(abs(c)))
+    span, kz = _info(val)
     x = val[1]
-    if c > 0 and mx + c <= WORD_MASK:
-        return ("e", f"({x} + {c})", mn + c, mx + c, kz)
-    if c < 0 and mn >= -c:
-        return ("e", f"({x} - {-c})", mn + c, mx + c, kz)
-    return ("e", f"(({x} + {c}) & {_M})", 0, WORD_MASK, kz)
+    if c > 0 and span.hi + c <= WORD_MASK:
+        text = f"({x} + {c})"
+    elif c < 0 and span.lo >= -c:
+        text = f"({x} - {-c})"
+    else:
+        text = f"(({x} + {c}) & {_M})"
+    return _value(text, _wrap(span.lo + c, span.hi + c),
+                  min(kz, _tz(abs(c))))
 
 
 def _identity(name: str, a, b):
@@ -316,7 +298,8 @@ def _identity(name: str, a, b):
     every register image is invariantly a canonical word (< 2**64), so
     e.g. ``ADDQ x, 0`` needs no re-masking.  Compiler idioms lean on
     these: assemblers spell "load 0" as ``SUBQ r, r, r`` and materialize
-    constants into registers cleared that way.
+    constants into registers cleared that way.  ``AND``, ``MULQ`` and
+    ``SRL`` with a zero operand need no rule: their ranges pin the 0.
     """
     if a[1] == b[1] and a[0] == b[0]:
         if name in ("SUBQ", "XOR"):
@@ -327,124 +310,101 @@ def _identity(name: str, a, b):
             return ("k", 0)
         if name in ("AND", "BIS"):
             return a
-    if b[0] == "k" and b[1] == 0:
-        if name in ("ADDQ", "SUBQ", "BIS", "XOR", "SLL", "SRL"):
-            return a
-        if name in ("AND", "MULQ"):
-            return ("k", 0)
+    if b[0] == "k" and b[1] == 0 \
+            and name in ("ADDQ", "SUBQ", "BIS", "XOR", "SLL", "SRL"):
+        return a
     if a[0] == "k" and a[1] == 0:
         if name in ("ADDQ", "BIS", "XOR"):
             return b
-        if name in ("AND", "MULQ", "SLL", "SRL"):
-            return ("k", 0)
+        if name == "SLL":
+            return ("k", 0)   # a variable shift's range is TOP
     return None
 
 
 def _symbolic(name: str, a, b):
-    """One operate instruction as a symbolic value: a parenthesized
-    expression over the operand texts plus the interval/alignment facts
-    the operator semantics guarantee.  The expression is the
-    :data:`~repro.alpha.isa.OPERATE_PY` form unless the operand ranges
-    license a rewrite: a wrap mask no overflow can need is dropped,
-    constant shift counts and byte offsets fold, and compares emit
-    Python ``bool`` (an ``int`` subclass with the reference's exact 0/1
-    values)."""
-    amn, amx, akz = _info(a)
-    bmn, bmx, bkz = _info(b)
+    """One operate instruction as a symbolic value: its range from
+    :func:`~repro.analysis.intervals.operate_interval`, and an
+    expression that is the :data:`~repro.alpha.isa.OPERATE_PY` form
+    unless the operand ranges license a rewrite: a wrap mask no overflow
+    can need is dropped, constant shift counts and byte offsets fold,
+    and compares emit Python ``bool`` (an ``int`` subclass with the
+    reference's exact 0/1 values)."""
+    (sa, akz), (sb, bkz) = _info(a), _info(b)
+    span = operate_interval(name, sa, sb)
+    if span.is_constant:
+        return ("k", span.lo)
     x, y = str(a[1]), str(b[1])
     text = f"({OPERATE_PY[name].format(a=x, b=y)})"
     if name == "ADDQ":
-        if amx + bmx <= WORD_MASK:
-            return ("e", f"({x} + {y})", amn + bmn, amx + bmx,
-                    min(akz, bkz))
-        return ("e", text, 0, WORD_MASK, min(akz, bkz))
+        if sa.hi + sb.hi <= WORD_MASK:
+            text = f"({x} + {y})"
+        return _value(text, span, min(akz, bkz))
     if name == "SUBQ":
-        if amn >= bmx:
-            return ("e", f"({x} - {y})", amn - bmx, amx - bmn,
-                    min(akz, bkz))
-        return ("e", text, 0, WORD_MASK, min(akz, bkz))
+        if sa.lo >= sb.hi:
+            text = f"({x} - {y})"
+        return _value(text, span, min(akz, bkz))
     if name == "MULQ":
-        if amx * bmx <= WORD_MASK:
-            return ("e", f"({x} * {y})", amn * bmn, amx * bmx,
-                    min(akz + bkz, 64))
-        return ("e", text, 0, WORD_MASK, min(akz + bkz, 64))
+        if sa.hi * sb.hi <= WORD_MASK:
+            text = f"({x} * {y})"
+        return _value(text, span, min(akz + bkz, 64))
     if name == "AND":
         if b[0] == "k":
             return _and_const(a, b[1])
         if a[0] == "k":
             return _and_const(b, a[1])
-        return ("e", text, 0, min(amx, bmx), max(akz, bkz))
-    if name == "BIS":
-        mx = (1 << max(amx.bit_length(), bmx.bit_length())) - 1
-        return ("e", text, max(amn, bmn), mx, min(akz, bkz))
-    if name == "XOR":
-        mx = (1 << max(amx.bit_length(), bmx.bit_length())) - 1
-        return ("e", text, 0, mx, min(akz, bkz))
+        return _value(text, span, max(akz, bkz))
+    if name in ("BIS", "XOR"):
+        return _value(text, span, min(akz, bkz))
     if name == "SLL":
-        if b[0] == "k":
-            k = b[1] & 63
-            if k == 0:
-                return a
-            # Tag the result with its provenance: a later SRL by the
-            # same k cancels the shift pair even if this value has been
-            # materialized into a bare temporary by then.
-            if amx << k <= WORD_MASK:
-                return ("e", f"({x} << {k})", amn << k, amx << k,
-                        min(akz + k, 64), ("sll", a, k, False))
-            return ("e", f"(({x} << {k}) & {_M})", 0, WORD_MASK,
-                    min(akz + k, 64), ("sll", a, k, True))
-        return ("e", text, 0, WORD_MASK, akz)
+        if b[0] != "k":
+            return _value(text, span, akz)
+        k = b[1] & 63
+        if k == 0:
+            return a
+        # Tag the result with its provenance: a later SRL by the same k
+        # cancels the shift pair even if this value has been
+        # materialized into a bare temporary by then.
+        masked = sa.hi << k > WORD_MASK
+        shifted = f"({x} << {k})"
+        return _value(f"({shifted} & {_M})" if masked else shifted, span,
+                      min(akz + k, 64), ("sll", a, k, masked))
     if name == "SRL":
-        if b[0] == "k":
-            k = b[1] & 63
-            if k == 0:
-                return a
-            lo, hi, kz = amn >> k, amx >> k, max(akz - k, 0)
-            # The truncate idiom SLL k; SRL k:
-            # ``((v << k) & M) >> k  ->  v & (M >> k)`` and — when the
-            # SLL was proven overflow-free — ``(v << k) >> k  ->  v``.
-            # ``v``'s text stays valid here: it names only
-            # single-assignment temporaries from dominating points.
-            meta = a[5] if len(a) > 5 else None
-            if meta is not None and meta[0] == "sll" and meta[2] == k:
-                inner, was_masked = meta[1], meta[3]
-                if not was_masked:
-                    return inner   # (v << k) >> k with no overflow: v
-                return _and_const(inner, WORD_MASK >> k)
-            return ("e", f"({x} >> {k})", lo, hi, kz)
-        return ("e", text, 0, amx, 0)
+        if b[0] != "k":
+            return _value(text, span, 0)
+        k = b[1] & 63
+        if k == 0:
+            return a
+        # The truncate idiom SLL k; SRL k:
+        # ``((v << k) & M) >> k  ->  v & (M >> k)`` and — when the SLL
+        # was proven overflow-free — ``(v << k) >> k  ->  v``.  ``v``'s
+        # text stays valid here: it names only single-assignment
+        # temporaries from dominating points.
+        tag = a[4]
+        if tag is not None and tag[0] == "sll" and tag[2] == k:
+            inner, was_masked = tag[1], tag[3]
+            if not was_masked:
+                return inner   # (v << k) >> k with no overflow: v
+            return _and_const(inner, WORD_MASK >> k)
+        return _value(f"({x} >> {k})", span, max(akz - k, 0))
     if name == "CMPEQ":
-        if amx < bmn or bmx < amn:
-            return ("k", 0)
-        if amx <= 1 and b[0] == "k":
+        if sa.hi <= 1 and b[0] == "k":
             # A boolean compared to a literal: the compare is a no-op
             # (== 1) or a negation (== 0).
-            if b[1] == 1:
-                return a
-            return ("e", f"(not {x})", 0, 1, 0)
-        return ("e", f"({x} == {y})", 0, 1, 0)
+            return a if b[1] == 1 else _value(f"(not {x})", span, 0)
+        return _value(f"({x} == {y})", span, 0)
     if name == "CMPULT":
-        if amx < bmn:
-            return ("k", 1)
-        if amn >= bmx:
-            return ("k", 0)
-        return ("e", f"({x} < {y})", 0, 1, 0)
+        return _value(f"({x} < {y})", span, 0)
     if name == "CMPULE":
-        if amx <= bmn:
-            return ("k", 1)
-        if amn > bmx:
-            return ("k", 0)
-        return ("e", f"({x} <= {y})", 0, 1, 0)
+        return _value(f"({x} <= {y})", span, 0)
     mask = _EXT_MASKS[name]
-    maskv = int(mask, 16)
-    if b[0] == "k":
-        shift = 8 * (b[1] & 7)
-        if shift == 0:
-            return _and_const(a, maskv, mask)
-        return ("e", f"(({x} >> {shift}) & {mask})", 0,
-                min(amx >> shift, maskv), 0,
-                ("and", f"({x} >> {shift})", maskv))
-    return ("e", text, 0, maskv, 0)
+    if b[0] != "k":
+        return _value(text, span, 0)
+    shift = 8 * (b[1] & 7)
+    if shift == 0:
+        return _and_const(a, int(mask, 16), mask)
+    inner = f"({x} >> {shift})"
+    return _value(f"({inner} & {mask})", span, 0,
+                  ("and", inner, int(mask, 16)))
 
 
 def _and_const(a, c: int, text: str | None = None):
@@ -452,48 +412,21 @@ def _and_const(a, c: int, text: str | None = None):
     when the range proves it a no-op, merge it into an AND the operand
     is known (by provenance tag or by its own text) to already be, else
     emit it."""
-    amn, amx, akz = _info(a)
-    cover = (1 << amx.bit_length()) - 1
+    span, akz = _info(a)
+    cover = (1 << span.hi.bit_length()) - 1
     if c & cover == cover:
         return a  # the mask keeps every bit the value can have set
     x = str(a[1])
-    meta = a[5] if len(a) > 5 else None
-    if meta is not None and meta[0] == "and":
-        x = meta[1]
-        c &= meta[2]
-        text = None
+    tag = a[4]
+    if tag is not None and tag[0] == "and":
+        x, c, text = tag[1], c & tag[2], None
     else:
         merged = _AND_CONST.fullmatch(x)
         if merged is not None:
-            c &= int(merged.group(2), 0)
-            x = merged.group(1)
-            text = None
-    if c == 0:
-        return ("k", 0)
-    return ("e", f"({x} & {text if text is not None else c})",
-            0, min(amx, c), max(akz, _tz(c)), ("and", x, c))
-
-
-def _branch_decide(name: str, mn: int, mx: int):
-    """Fold a branch whose outcome the operand range determines:
-    True = taken, False = fallthrough, None = genuinely dynamic."""
-    if name == "BEQ":
-        return True if mx == 0 else (False if mn >= 1 else None)
-    if name == "BNE":
-        return False if mx == 0 else (True if mn >= 1 else None)
-    if name == "BGE":
-        return True if mx < _S63 else (False if mn >= _S63 else None)
-    if name == "BLT":
-        return False if mx < _S63 else (True if mn >= _S63 else None)
-    if name == "BGT":
-        if mx == 0 or mn >= _S63:
-            return False
-        return True if 1 <= mn and mx < _S63 else None
-    if name == "BLE":
-        if mx == 0 or mn >= _S63:
-            return True
-        return False if 1 <= mn and mx < _S63 else None
-    raise _Fallback(f"unknown branch {name!r}")  # pragma: no cover
+            x, c, text = merged.group(1), c & int(merged.group(2), 0), None
+    return _value(f"({x} & {text if text is not None else c})",
+                  operate_interval("AND", span, const(c)),
+                  max(akz, _tz(c)), ("and", x, c))
 
 
 def _branch_cond(name: str, s: str, mx: int) -> str:
@@ -566,10 +499,10 @@ def _tidy(lines: list[str]) -> list[str]:
     return out
 
 
-def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
+def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
                  budgeted: bool):
+    program = cfg.program
     size = len(program)
-    block_len, block_cost = graph.block_len, graph.block_cost
     lines: list[str] = []
     counters: dict[int, str] = {}   # leaf cycles -> counter variable
     state = {"nodes": 0, "temps": 0}
@@ -602,12 +535,12 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
                  indent: int) -> bool:
         """Emit one load; True when the path terminates here (a raise
         that does not depend on the frame)."""
-        base = regs.get(instruction.rs.index, _ZERO)
-        disp = instruction.disp
+        aval = _add_const(regs.get(instruction.rs.index, _ZERO),
+                          instruction.disp)
         pb = plan.packet_base
         sb, ss = plan.scratch_base, plan.scratch_size
-        if base[0] == "k":
-            address = (base[1] + disp) & WORD_MASK
+        if aval[0] == "k":
+            address = aval[1]
             if address & 7:
                 emit(indent, f'raise MachineError('
                              f'"unaligned LDQ address {address:#x}")')
@@ -627,18 +560,17 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
                           f"if flen >= {offset + 8} "
                           f"else edge({address}, frame, flen)",
                           indent, memo)
-            regs[instruction.rd.index] = ("e", name, 0, WORD_MASK, 0)
+            regs[instruction.rd.index] = ("e", name, TOP, 0, None)
             return False
-        aval = _add_const(base, disp) if disp else base
-        mn, mx, kz = _info(aval)
+        span, kz = _info(aval)
         if aval[1].isidentifier():
             addr = aval[1]
         else:
             addr = assign(aval[1], indent, memo)
         # In-packet fast path; the range facts discharge guard terms
-        # (mn >= base proves the lower bound, kz >= 3 the alignment).
+        # (span.lo >= base proves the lower bound, kz >= 3 the alignment).
         checks = []
-        if mn < pb:
+        if span.lo < pb:
             checks.append(f"{pb} <= {addr}")
         checks.append(f"{addr} <= flen + {pb - 8}")
         if kz < 3:
@@ -646,7 +578,7 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
         name = assign(f"q(frame, {addr} - {pb})[0] "
                       f"if {' and '.join(checks)} "
                       f"else edge({addr}, frame, flen)", indent, memo)
-        regs[instruction.rd.index] = ("e", name, 0, WORD_MASK, 0)
+        regs[instruction.rd.index] = ("e", name, TOP, 0, None)
         return False
 
     def emit_straightline(instruction, regs: dict, memo: dict,
@@ -675,12 +607,9 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
         disp = instruction.disp
         if isinstance(instruction, Ldah):
             disp <<= 16
-        base = regs.get(instruction.rs.index, _ZERO)
-        if base[0] == "k":
-            regs[instruction.rd.index] = ("k", (base[1] + disp) & WORD_MASK)
-        else:
-            regs[instruction.rd.index] = fresh(_add_const(base, disp),
-                                               indent, memo)
+        regs[instruction.rd.index] = fresh(
+            _add_const(regs.get(instruction.rs.index, _ZERO), disp),
+            indent, memo)
         return False
 
     def emit_leaf(regs: dict, cycles: int, indent: int) -> None:
@@ -689,10 +618,10 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
             if verdict[1]:
                 emit(indent, "accepted += 1")
         else:
-            mn, mx, _ = _info(verdict)
-            if mn >= 1:
+            span = verdict[2]
+            if span.lo >= 1:
                 emit(indent, "accepted += 1")
-            elif mx <= 1:
+            elif span.hi <= 1:
                 emit(indent, f"accepted += {verdict[1]}")
             else:
                 emit(indent, f"accepted += 1 if {verdict[1]} else 0")
@@ -712,7 +641,8 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
                 return
             # Block entry: charge the block, then (budgeted) compare the
             # now-constant clock, reproducing the engine's payloads.
-            cum_cycles += block_cost[pc]
+            block = cfg.blocks[cfg.block_of[pc]]
+            cum_cycles += costs[block.index]
             if budgeted:
                 emit(indent, f"if {cum_cycles} > b:")
                 emit(indent + 1,
@@ -720,8 +650,8 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
                      f'{{b}} ({cum_cycles} cycles after {cum_steps} '
                      f'steps)", budget=b, cycles={cum_cycles}, '
                      f'steps={cum_steps})')
-            cum_steps += block_len[pc]
-            end = pc + block_len[pc]
+            end = block.end
+            cum_steps += end - pc
             last = program[end - 1]
             transfers = isinstance(last, (Branch, Br, Ret))
             for p in range(pc, end - 1 if transfers else end):
@@ -738,22 +668,22 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
             if fall_through is None:            # BR
                 pc = taken
                 continue
-            value = regs.get(last.rs.index, _ZERO)
-            mn, mx, _ = _info(value)
-            # A constant is a one-point range, which always decides.
-            decided = _branch_decide(last.name, mn, mx)
-            if decided is not None:
-                pc = taken if decided else fall_through
+            reg = last.rs.index
+            value = regs.get(reg, _ZERO)
+            span, _ = _info(value)
+            # Each arm sees the register refined by its branch outcome;
+            # an infeasible arm decides the branch (a constant always
+            # does), and a one-point arm (BEQ taken, BNE not) pins the
+            # register so downstream reads of it const-fold.
+            arms = [refine_branch((span,), last.name, 0, outcome)
+                    for outcome in (True, False)]
+            if None in arms:
+                pc = fall_through if arms[0] is None else taken
                 continue
-            taken_regs = dict(regs)
-            fall_regs = dict(regs)
-            # BEQ-taken / BNE-fallthrough pin the register to an exact
-            # value; downstream reads of it const-fold.
-            if last.name == "BEQ":
-                taken_regs[last.rs.index] = _ZERO
-            elif last.name == "BNE":
-                fall_regs[last.rs.index] = _ZERO
-            emit(indent, f"if {_branch_cond(last.name, value[1], mx)}:")
+            taken_regs, fall_regs = dict(regs), dict(regs)
+            taken_regs[reg] = _value(value[1], arms[0][0], *value[3:])
+            fall_regs[reg] = _value(value[1], arms[1][0], *value[3:])
+            emit(indent, f"if {_branch_cond(last.name, value[1], span.hi)}:")
             walk(taken, taken_regs, dict(memo), cum_cycles, cum_steps,
                  indent + 1)
             emit(indent, "else:")
@@ -761,7 +691,9 @@ def _emit_driver(program: Program, plan: FramePlan, graph: _BlockGraph,
                  cum_steps, indent + 1)
             return
 
-    entry = {1: ("k", plan.packet_base), 2: ("e", "flen", 0, WORD_MASK, 0),
+    # Entry ranges are wider than the frame contract's: the drivers are
+    # also run directly on frames shorter than the contract minimum.
+    entry = {1: ("k", plan.packet_base), 2: ("e", "flen", TOP, 0, None),
              3: ("k", plan.scratch_base)}
     signature = ("frames, start, b" if budgeted else "frames, start")
     emit(1, "try:")

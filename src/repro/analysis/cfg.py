@@ -21,12 +21,19 @@ Recovery follows the textbook recipe:
   the engine and the batch drivers also use: fall-through plus taken
   targets; ``RET`` has no successors; out-of-range targets become
   fault exits, not edges;
-* **reachability** — forward DFS from the entry block;
-* **dominators** — iterative dataflow over reachable blocks in reverse
-  post order;
+* **reachability** — one forward DFS from the entry block, whose post
+  order the later passes share;
+* **dominators** — one immediate dominator per block (Cooper, Harvey
+  and Kennedy's iterative algorithm), and dominator-tree pre-order
+  intervals that answer :meth:`~ControlFlowGraph.dominates` in constant
+  time, so recovery stays linear on the long block chains a 16 KB
+  container can carry (per-block dominator sets were quadratic there);
 * **natural loops** — one per back edge ``u -> h`` where ``h``
   dominates ``u``, merged per header; the body is everything that can
   reach ``u`` without passing through ``h``.
+
+:meth:`~ControlFlowGraph.longest_path` is the one longest-path walk:
+WCET weighs blocks by cycles, the batch compiler by steps and cycles.
 
 Retreating edges that are *not* back edges (irreducible control flow)
 are surfaced separately: the interval analysis still converges on them
@@ -90,82 +97,97 @@ class ControlFlowGraph:
         self.blocks = blocks
         #: pc -> index of the containing block.
         self.block_of = block_of
+        predecessors: list[list[int]] = [[] for _ in blocks]
+        for block in blocks:
+            for succ in block.successors:
+                predecessors[succ].append(block.index)
         self.predecessors: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(p.index for p in blocks
-                         if block.index in p.successors))
-            for block in blocks)
-        self.reachable: frozenset[int] = self._reach()
-        self.dominators: dict[int, frozenset[int]] = self._dominators()
-        self.back_edges: tuple[tuple[int, int], ...] = tuple(
+            map(tuple, predecessors))
+        #: The reachable blocks in DFS post order (the entry last).
+        self.post_order: tuple[int, ...] = self._post_order()
+        self.reachable: frozenset[int] = frozenset(self.post_order)
+        rank = {index: place for place, index in enumerate(self.post_order)}
+        #: Reachable block -> its immediate dominator (the entry maps to
+        #: itself).
+        self.idom: dict[int, int] = self._immediate_dominators(rank)
+        self._dominator_span = self._dominator_spans()
+        #: Edges against the DFS order (a superset of the back edges);
+        #: any retreating edge that is *not* a back edge is irreducible.
+        self.retreating_edges: tuple[tuple[int, int], ...] = tuple(
             (block.index, succ)
-            for block in blocks if block.index in self.reachable
+            for block in blocks if block.index in rank
             for succ in block.successors
-            if succ in self.dominators.get(block.index, frozenset()))
+            if rank[succ] >= rank[block.index])
+        self.back_edges: tuple[tuple[int, int], ...] = tuple(
+            (source, header) for source, header in self.retreating_edges
+            if self.dominates(header, source))
         self.loops: tuple[NaturalLoop, ...] = self._natural_loops()
-        self.retreating_edges: tuple[tuple[int, int], ...] = \
-            self._retreating_edges()
 
     # -- construction helpers -------------------------------------------
 
-    def _reach(self) -> frozenset[int]:
-        seen = {0} if self.blocks else set()
-        stack = [0] if self.blocks else []
+    def _post_order(self) -> tuple[int, ...]:
+        if not self.blocks:
+            return ()
+        order: list[int] = []
+        seen = {0}
+        stack = [(0, iter(self.blocks[0].successors))]
         while stack:
-            for succ in self.blocks[stack.pop()].successors:
+            node, successors = stack[-1]
+            for succ in successors:
                 if succ not in seen:
                     seen.add(succ)
-                    stack.append(succ)
-        return frozenset(seen)
+                    stack.append((succ, iter(self.blocks[succ].successors)))
+                    break
+            else:
+                order.append(node)
+                stack.pop()
+        return tuple(order)
 
-    def _post_order(self) -> list[int]:
-        order: list[int] = []
-        seen: set[int] = set()
-
-        def visit(index: int) -> None:
-            stack = [(index, iter(self.blocks[index].successors))]
-            seen.add(index)
-            while stack:
-                node, successors = stack[-1]
-                advanced = False
-                for succ in successors:
-                    if succ not in seen:
-                        seen.add(succ)
-                        stack.append(
-                            (succ, iter(self.blocks[succ].successors)))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(node)
-                    stack.pop()
-
-        if self.blocks:
-            visit(0)
-        return order
-
-    def _dominators(self) -> dict[int, frozenset[int]]:
-        reachable = self.reachable
-        if not reachable:
-            return {}
-        rpo = list(reversed(self._post_order()))
-        every = frozenset(reachable)
-        dom: dict[int, frozenset[int]] = {index: every for index in reachable}
-        dom[0] = frozenset({0})
+    def _immediate_dominators(self, rank: dict[int, int]) -> dict[int, int]:
+        """Cooper, Harvey and Kennedy's "A Simple, Fast Dominance
+        Algorithm" over the post-order ``rank``.  Predecessors go deepest
+        first (descending index), so a shared reject exit costs one idom
+        step per predecessor, not one climb to the entry each."""
+        idom = {0: 0} if self.post_order else {}
         changed = True
         while changed:
             changed = False
-            for index in rpo:
-                if index == 0:
-                    continue
-                preds = [p for p in self.predecessors[index]
-                         if p in reachable]
-                if not preds:
-                    continue
-                new = frozenset.intersection(*(dom[p] for p in preds))
-                new = new | {index}
-                if new != dom[index]:
-                    dom[index] = new
+            for index in self.post_order[-2::-1]:
+                new = None
+                for pred in reversed(self.predecessors[index]):
+                    if pred not in idom:
+                        continue    # unreachable, or not yet placed
+                    if new is None:
+                        new = pred
+                        continue
+                    finger = pred
+                    while finger != new:
+                        while rank[finger] < rank[new]:
+                            finger = idom[finger]
+                        while rank[new] < rank[finger]:
+                            new = idom[new]
+                if idom.get(index) != new:
+                    idom[index] = new
                     changed = True
-        return dom
+        return idom
+
+    def _dominator_spans(self) -> dict[int, tuple[int, int]]:
+        """Each reachable block's ``[start, end)`` pre-order span in the
+        dominator tree: ``a`` dominates ``b`` iff ``b`` starts in
+        ``a``'s span."""
+        children: dict[int, list[int]] = {}
+        for index in self.post_order[-2::-1]:
+            children.setdefault(self.idom[index], []).append(index)
+        order: list[int] = []
+        stack = [0] if self.idom else []
+        while stack:
+            order.append(stack.pop())
+            stack.extend(children.get(order[-1], ()))
+        size = dict.fromkeys(order, 1)
+        for index in reversed(order[1:]):   # every child before its idom
+            size[self.idom[index]] += size[index]
+        return {index: (place, place + size[index])
+                for place, index in enumerate(order)}
 
     def _natural_loops(self) -> tuple[NaturalLoop, ...]:
         bodies: dict[int, set[int]] = {}
@@ -185,17 +207,6 @@ class ControlFlowGraph:
                                  tuple(sorted(sources[header])))
                      for header, body in sorted(bodies.items()))
 
-    def _retreating_edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges against the DFS order (superset of the back edges);
-        any retreating edge that is *not* a back edge is irreducible."""
-        position = {index: rank
-                    for rank, index in enumerate(self._post_order())}
-        return tuple(
-            (block.index, succ)
-            for block in self.blocks if block.index in self.reachable
-            for succ in block.successors
-            if succ in position and position[succ] >= position[block.index])
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -209,7 +220,24 @@ class ControlFlowGraph:
 
     def dominates(self, a: int, b: int) -> bool:
         """Does block ``a`` dominate block ``b``? (reachable blocks)"""
-        return a in self.dominators.get(b, frozenset())
+        span_a = self._dominator_span.get(a)
+        span_b = self._dominator_span.get(b)
+        return span_a is not None and span_b is not None \
+            and span_a[0] <= span_b[0] < span_a[1]
+
+    def longest_path(self, weights) -> int:
+        """The heaviest path from the entry through the reachable
+        blocks with the back edges removed, a block weighing
+        ``weights[index]``.  Callers guarantee the flow is reducible, so
+        what remains is acyclic and the post order visits every
+        successor before its predecessors."""
+        back = set(self.back_edges)
+        longest: dict[int, int] = {}
+        for index in self.post_order:
+            longest[index] = weights[index] + max(
+                (longest[succ] for succ in self.blocks[index].successors
+                 if (index, succ) not in back), default=0)
+        return longest.get(0, 0)
 
     def instructions(self, block: BasicBlock):
         """The instruction slice of ``block``, with absolute pcs."""

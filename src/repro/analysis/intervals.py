@@ -19,7 +19,9 @@ exactly when both operands are constants:
   is not contiguous, the result is ``TOP``;
 * bit operations use the standard bounds (``AND`` shrinks below the
   smaller upper bound, ``BIS``/``XOR`` stay below the next power of
-  two);
+  two); a byte-lane extract (``EXTBL``/``EXTWL``/``EXTLL``) stays below
+  its lane mask and, for a constant lane ``b``, below
+  ``hi >> 8·(b & 7)``;
 * comparisons fold to singletons when the operand intervals decide
   them;
 * loads return ``TOP`` (memory contents are not tracked).
@@ -197,7 +199,10 @@ def operate_interval(name: str, a: Interval, b: Interval) -> Interval:
             return ZERO
         return BIT
     if name in _EXTRACT_MASKS:
-        return Interval(0, min(a.hi, _EXTRACT_MASKS[name]))
+        mask = _EXTRACT_MASKS[name]
+        if b.is_constant:
+            return Interval(0, min(a.hi >> 8 * (b.lo & 7), mask))
+        return Interval(0, min(a.hi, mask))
     return TOP  # unknown operate: decode would have rejected it
 
 

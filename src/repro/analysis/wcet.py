@@ -207,22 +207,6 @@ def bound_loop(analysis: IntervalAnalysis, loop: NaturalLoop,
                      f"no bound within {max_iterations} abstract rounds")
 
 
-def _longest_acyclic(cfg: ControlFlowGraph,
-                     costs: Mapping[int, int]) -> int:
-    """Longest path (in cycles) through the reachable CFG with back
-    edges removed.  Callers guarantee the graph is reducible, so the
-    DFS post order is a reverse topological order of that DAG."""
-    back = set(cfg.back_edges)
-    longest: dict[int, int] = {}
-    for index in cfg._post_order():
-        best = 0
-        for succ in cfg.blocks[index].successors:
-            if (index, succ) not in back:
-                best = max(best, longest.get(succ, 0))
-        longest[index] = costs[index] + best
-    return longest.get(0, 0)
-
-
 def estimate_wcet(program: Program | ControlFlowGraph,
                   context: AnalysisContext | None = None,
                   cost_model: AlphaCostModel | None = None,
@@ -251,7 +235,7 @@ def estimate_wcet(program: Program | ControlFlowGraph,
         return WcetReport("unbounded", None, None, (), costs)
 
     if not cfg.loops:
-        bound = _longest_acyclic(cfg, costs)
+        bound = cfg.longest_path(costs)
         return WcetReport("exact", bound, bound, (), costs)
 
     if analysis is None:
@@ -259,7 +243,7 @@ def estimate_wcet(program: Program | ControlFlowGraph,
     loop_bounds = tuple(bound_loop(analysis, loop, costs,
                                    max_loop_iterations)
                         for loop in cfg.loops)
-    acyclic = _longest_acyclic(cfg, costs)
+    acyclic = cfg.longest_path(costs)
     if any(not bound.bounded for bound in loop_bounds):
         return WcetReport("unbounded", None, acyclic, loop_bounds, costs)
     total = acyclic + sum(bound.trips * bound.body_cycles

@@ -80,6 +80,14 @@ def _budget_value(text: str):
             f"budget must be an integer or 'auto', not {text!r}")
 
 
+def _packet_count(text: str) -> int:
+    """``--packets`` accepts a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"packet count must be a positive integer, not {text!r}")
+    return int(text)
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.pcc import certify
 
@@ -538,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--builtin-filters", action="store_true",
                          help="certify + attach the paper's four filters")
     p_serve.add_argument("--policy", default="packet-filter")
-    p_serve.add_argument("--packets", type=int, default=10_000)
+    p_serve.add_argument("--packets", type=_packet_count, default=10_000)
     p_serve.add_argument("--repeat", type=int, default=1,
                          help="replay the trace N times")
     p_serve.add_argument("--seed", type=int, default=19961028)
@@ -579,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
                                 "and admit it as a block-level proof "
                                 "patch against the live container")
     p_upgrade.add_argument("--policy", default="packet-filter")
-    p_upgrade.add_argument("--packets", type=int, default=2000)
+    p_upgrade.add_argument("--packets", type=_packet_count, default=2000)
     p_upgrade.add_argument("--seed", type=int, default=19961028)
     p_upgrade.add_argument("--shards", type=int, default=2)
     p_upgrade.add_argument("--budget", type=_budget_value, default="auto",
@@ -592,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_chaos = sub.add_parser(
         "chaos", help="fault-injection harness with recovery invariants")
-    p_chaos.add_argument("--packets", type=int, default=600)
+    p_chaos.add_argument("--packets", type=_packet_count, default=600)
     p_chaos.add_argument("--seed", type=int, default=0xC4405)
     p_chaos.add_argument("--shards", type=int, default=2)
     p_chaos.add_argument("--mutation-rounds", type=int, default=4,
@@ -633,7 +641,7 @@ def main(argv: list[str] | None = None) -> int:
     p_filter = sub.add_parser("filter", help="run a paper filter + "
                                              "baselines on a trace")
     p_filter.add_argument("name")
-    p_filter.add_argument("--packets", type=int, default=2000)
+    p_filter.add_argument("--packets", type=_packet_count, default=2000)
     p_filter.set_defaults(fn=_cmd_filter)
 
     args = parser.parse_args(argv)

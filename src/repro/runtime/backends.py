@@ -26,14 +26,15 @@ process scheduling:
   not arithmetic, and cycle *histograms* make latency percentiles exact
   under any merge order;
 * the fault ledger (``consecutive_faults``, ``last_fault``) is
-  runtime-wide, but every child starts from the pre-serve ledger.  The
-  merge folds it as serial dispatch, which runs the shards one after
-  another, would: from the parent's ledger after shard 0, each child in
-  turn adds its faults (or, if any of its invocations succeeded,
-  replaces the run with the faults after its last success) and its last
-  fault, if it recorded one this serve.  A run of faults that spans
-  shards is folded exactly, but no one process sees all of it, so the
-  quarantine threshold is checked per process;
+  runtime-wide, but no child knows the run the shards before it leave,
+  so each counts its run from zero and reports its faults before its
+  first success.  The merge folds the ledger as serial dispatch, which
+  runs the shards one after another, would: from the parent's ledger
+  after shard 0, each child in turn adds its faults (or, if any of its
+  invocations succeeded, replaces the run with the faults after its
+  last success) and its last fault, if it recorded one this serve; and
+  it quarantines the extension when the run carried into a child plus
+  that child's leading faults reaches the threshold;
 * a quarantine crosses the process boundary as an event, between
   dispatch chunks (``batch_size`` is the relay granularity).  A child
   reports its transition as soon as it happens; the parent relays a
@@ -82,6 +83,29 @@ def _chunks(kept, index, count, batch_size):
     step = batch_size * count
     for start in range(index, len(kept), step):
         yield kept[start:start + step:count]
+
+
+def _count_leading_faults(extensions, index) -> dict[str, int]:
+    """In a worker: start every fault run at zero, and count each
+    extension's faults on shard ``index`` before its first success
+    there (the shard counts every earlier invocation before it calls
+    ``record_fault``); returns the live ``{name: count}`` map."""
+    leading = {}
+    for extension in extensions:
+        extension.consecutive_faults = 0
+        leading[extension.name] = 0
+        counters = extension.shard_counters[index]
+
+        def record_fault(reason, threshold, name=extension.name,
+                         counters=counters,
+                         successes=counters.packets_in - counters.faults,
+                         record=extension.record_fault):
+            if counters.packets_in - counters.faults == successes:
+                leading[name] += 1
+            return record(reason, threshold)
+
+        extension.record_fault = record_fault   # this worker's copy only
+    return leading
 
 
 class _Children:
@@ -172,8 +196,6 @@ class ProcessBackend:
         shards = runtime.shards
         count = len(shards)
         before = [shard.cycles for shard in shards]
-        runs = {extension.name: extension.consecutive_faults
-                for extension in extensions}
         contracted = time.perf_counter()
 
         children = _Children()
@@ -196,7 +218,7 @@ class ProcessBackend:
             raise RuntimeError(
                 f"process-backend worker for shard {index} died:\n"
                 f"{children.failures[index]}")
-        self._merge(runtime, extensions, children.payloads, runs)
+        self._merge(runtime, extensions, children.payloads)
         merged = time.perf_counter()
         return DispatchReport(
             packets=len(kept), contract_drops=drops,
@@ -235,6 +257,7 @@ class ProcessBackend:
     def _child(self, runtime, index, extensions, kept, conn) -> None:
         try:
             shard = runtime.shards[index]
+            leading = _count_leading_faults(extensions, index)
             baseline = {extension.name: extension.quarantines
                         for extension in extensions}
             for chunk in _chunks(kept, index, len(runtime.shards),
@@ -245,7 +268,8 @@ class ProcessBackend:
                     if extension.quarantines > baseline[extension.name]:
                         baseline[extension.name] = extension.quarantines
                         conn.send(("quarantine", extension.name))
-            conn.send(("done", self._payload(shard, extensions)))
+            conn.send(("done", self._payload(shard, extensions,
+                                             leading)))
             conn.close()
         except BaseException:
             import traceback
@@ -269,7 +293,7 @@ class ProcessBackend:
                         # full transition exactly once.
                         extension.active = False
 
-    def _payload(self, shard, extensions) -> bytes:
+    def _payload(self, shard, extensions, leading) -> bytes:
         """One worker's state delta, pickled eagerly so the expensive
         serialization runs in the child, parallel to other workers."""
         return pickle.dumps({
@@ -280,6 +304,7 @@ class ProcessBackend:
                 extension.name: {
                     "counters": extension.shard_counters[shard.index],
                     "consecutive_faults": extension.consecutive_faults,
+                    "leading_faults": leading[extension.name],
                     "last_fault": extension.last_fault,
                     "quarantined":
                         extension.state is ExtensionState.QUARANTINED,
@@ -290,11 +315,11 @@ class ProcessBackend:
 
     # -- parent side -----------------------------------------------------
 
-    def _merge(self, runtime, extensions, payloads, runs) -> None:
+    def _merge(self, runtime, extensions, payloads) -> None:
         """Fold the children's deltas into the parent, in shard-index
         order, as serial dispatch would run their slices after shard 0's;
-        ``runs`` holds each extension's pre-serve fault run, which every
-        child started from."""
+        every child counted its fault run from zero."""
+        threshold = runtime.config.fault_threshold
         for index in sorted(payloads):
             payload = payloads[index]
             shard = runtime.shards[index]
@@ -308,16 +333,19 @@ class ProcessBackend:
                 old = extension.shard_counters[index]
                 new = delta["counters"]
                 extension.shard_counters[index] = new
+                crossed = threshold is not None and (
+                    extension.consecutive_faults + delta["leading_faults"]
+                    >= threshold)
                 if new.packets_in - new.faults > old.packets_in - old.faults:
                     # A success reset the child's run: what is left is
                     # the faults after its last success.
                     extension.consecutive_faults = delta["consecutive_faults"]
                 else:
-                    extension.consecutive_faults += (
-                        delta["consecutive_faults"] - runs[extension.name])
+                    extension.consecutive_faults += \
+                        delta["consecutive_faults"]
                 if new.faults > old.faults:
                     extension.last_fault = delta["last_fault"]
-                if delta["quarantined"] and extension.active:
+                if (crossed or delta["quarantined"]) and extension.active:
                     # Replay the transition exactly once, as
                     # record_fault's lock-guarded `self.active` check
                     # does in-process.

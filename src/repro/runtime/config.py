@@ -91,7 +91,6 @@ class RuntimeConfig:
     max_frame_bytes: int = MAX_FRAME
     cost_model: AlphaCostModel = field(default_factory=lambda: ALPHA_175)
     max_steps: int = 1_000_000
-    cache_capacity: int = 64
     memory_factory: Callable = reusable_packet_memory
     registers_fn: Callable[[int], dict] = filter_registers
     canary: CanaryConfig = field(default_factory=CanaryConfig)

@@ -73,8 +73,8 @@ class RuntimeExtension:
     ``engine`` is the shared unchecked fast-path engine (PCC-proven code
     needs no checks, so one stateless engine serves every shard).
     ``checked`` extensions instead carry one engine *per shard* — the
-    rd()/wr() hooks consult shard-local predicates — installed by the
-    runtime via :meth:`bind_shard_engines`.
+    rd()/wr() hooks consult shard-local predicates — built by the
+    runtime when it admits the extension on the checked tier.
     """
 
     def __init__(self, name: str, blob: bytes, digest: str,

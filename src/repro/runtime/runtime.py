@@ -136,7 +136,7 @@ class PacketRuntime:
                  config: RuntimeConfig | None = None) -> None:
         self.policy = policy
         self.config = config or RuntimeConfig()
-        self.loader = ExtensionLoader(policy, self.config.cache_capacity,
+        self.loader = ExtensionLoader(policy,
                                       prescreen=self.config.prescreen,
                                       proof_store=ProofStore())
         self.shards = [Shard(index, self.config)

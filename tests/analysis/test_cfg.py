@@ -1,5 +1,7 @@
 """CFG recovery unit tests: leaders, edges, dominators, loops."""
 
+import tracemalloc
+
 from repro.alpha.isa import Branch, Operate, Reg, Lit, Ret
 from repro.alpha.parser import parse_program
 from repro.analysis import build_cfg
@@ -133,3 +135,21 @@ def test_irreducible_flow_flagged():
     cfg = build_cfg(program)
     # The retreating edge second->first is not dominated: irreducible.
     assert cfg.irreducible_edges != () or cfg.loops != ()
+
+
+def test_long_chain_recovers_in_linear_memory():
+    """A 4,000-block chain (each ``BEQ r4, +0`` is its own block) is
+    what a 16 KB container can carry.  Per-block dominator sets grew
+    quadratically on it, by hundreds of megabytes; one idom per block
+    does not."""
+    program = (Branch("BEQ", Reg(4), 0),) * 4000 + (Ret(),)
+    tracemalloc.start()
+    try:
+        cfg = build_cfg(program)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB"
+    assert len(cfg.blocks) == 4001
+    assert cfg.dominates(0, 4000) and not cfg.dominates(4000, 0)
+    assert cfg.idom[4000] == 3999

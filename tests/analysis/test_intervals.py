@@ -63,6 +63,16 @@ def test_comparison_decided_by_disjoint_intervals():
         == Interval(0, 1)
 
 
+def test_extract_with_constant_lane_shifts_the_bound():
+    # Byte 3 of a value below 256 is zero.
+    assert operate_interval("EXTBL", Interval(0, 255), const(3)) \
+        == const(0)
+    assert operate_interval("EXTWL", Interval(0, 0x12345), const(2)) \
+        == Interval(0, 1)
+    assert operate_interval("EXTLL", TOP, const(4)) \
+        == Interval(0, 0xFFFFFFFF)
+
+
 # -- the soundness property --------------------------------------------
 
 

@@ -199,3 +199,47 @@ def test_fault_ledger_merges_as_serial_dispatch(
     assert serial.state == "active"
     assert serial.consecutive_faults == 0
     assert "16 cycles" in serial.last_fault
+
+
+def _serve_both(filter_policy, filter_blobs, bursts, threshold):
+    """Serve ``bursts`` of filter4 on 2 shards at a 15-cycle budget on
+    both backends; asserts full-snapshot equality after every burst and
+    returns filter4's final snapshot."""
+    runtimes = {backend: _runtime(filter_policy,
+                                  {"filter4": filter_blobs["filter4"]},
+                                  backend, 2, cycle_budget=BUDGET,
+                                  fault_threshold=threshold)
+                for backend in ("serial", "process")}
+    for burst in bursts:
+        snapshots = {}
+        for backend, runtime in runtimes.items():
+            runtime.serve(burst)
+            snapshots[backend] = runtime.snapshot()
+        assert snapshots["process"] == snapshots["serial"], burst
+    return snapshots["serial"].extensions[0]
+
+
+def test_threshold_crossed_across_shards_quarantines(
+        filter_policy, filter_blobs, seed3_frames):
+    """One fault on each shard reaches a threshold of 2 only in serial
+    order.  Checked per process, neither side saw 2 in a row, so the
+    extension stayed active and the next clean burst reset its run."""
+    ok, a, b = seed3_frames["ok"], seed3_frames["a"], seed3_frames["b"]
+    filter4 = _serve_both(filter_policy, filter_blobs,
+                          [[a, b], [ok, ok]], threshold=2)
+    assert filter4.state == "quarantined"
+    assert filter4.quarantines == 1
+    assert filter4.consecutive_faults == 2
+
+
+def test_shard0_success_resets_the_run_a_child_inherited(
+        filter_policy, filter_blobs, seed3_frames):
+    """A run of 2 carried into a serve whose shard 0 succeeds: serial
+    dispatch resets it there, so shard 1's fault starts a run of 1.  A
+    child that counts on from the inherited run reaches the threshold of
+    3 and quarantines an extension serial dispatch keeps."""
+    ok, a, b = seed3_frames["ok"], seed3_frames["a"], seed3_frames["b"]
+    filter4 = _serve_both(filter_policy, filter_blobs,
+                          [[a, b], [ok, b]], threshold=3)
+    assert filter4.state == "active"
+    assert filter4.consecutive_faults == 1

@@ -173,6 +173,17 @@ class TestCli:
             main(["serve", "--builtin-filters", "--packets", "10",
                   "--budget", "fast"])
 
+    @pytest.mark.parametrize("command", [
+        ["filter", "filter1"], ["serve", "--builtin-filters"],
+        ["chaos", "--quick"], ["upgrade", "live.pcc", "candidate.pcc"]])
+    @pytest.mark.parametrize("packets", ["0", "-5"])
+    def test_packets_must_be_positive(self, command, packets, capsys):
+        """A usage error before any work, not a traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--packets", packets])
+        assert exit_info.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_unknown_policy(self, tmp_path):
         source = tmp_path / "f.s"
         source.write_text(FILTER1)
