@@ -1,22 +1,25 @@
-"""Supervised control plane: recovery latency and steady-state cost.
+"""Control plane: recovery latency and steady-state cost.
 
-The robustness machinery (shard supervisor, shadow canaries, quarantine)
-only earns its keep if it is effectively free when nothing is wrong and
-fast when something is.  This benchmark measures both sides:
+The robustness machinery (process-backend re-execution, shadow canaries,
+quarantine) only earns its keep if it is effectively free when nothing
+is wrong and fast when something is.  This benchmark measures both
+sides:
 
 * **steady-state overhead** — the same trace through the same filters,
-  plain ``serve()`` versus ``serve_supervised()`` with no faults.  The
-  supervisor is host-side machinery (queues, threads, health checks):
-  it must cost **zero modeled cycles** — the acceptance bar is <2%
-  modeled-cycle overhead, and the expected value is exactly 0.  Wall
-  time is reported as the usual informational column (queue hand-off
-  costs real Python time; modeled cycles are the figure of merit);
-* **verdict stability** — accept counts under supervision must be
-  bit-identical to plain dispatch (supervision may never change
+  serial ``dispatch()`` versus the process backend's ``serve()`` with no
+  faults.  The forked workers and their per-round state exchange are
+  host-side machinery: they must cost **zero modeled cycles** — the
+  acceptance bar is <2% modeled-cycle overhead, and the expected value
+  is exactly 0.  Wall time is reported as the usual informational
+  column (modeled cycles are the figure of merit);
+* **verdict stability** — accept counts on the process backend must be
+  bit-identical to serial dispatch (the vehicle may never change
   semantics);
-* **crash recovery** — the same trace with seeded worker crashes
-  injected mid-stream: every packet still dispatched, and the measured
-  MTTR (crash detection -> restarted worker) is reported per incident;
+* **crash recovery** — the same trace on the process backend with every
+  worker SIGKILLed at a seeded round: the caller re-executes each dead
+  worker's remaining rounds, every packet is still dispatched, the
+  snapshot equals serial dispatch's, and the MTTR (death detected ->
+  end of the re-executed round) is reported per death;
 * **control-plane decision latency** — how long a shadow canary takes
   to roll back a divergent candidate and to promote a clean one (wall
   time from upgrade to decision, driven by sampled packets).
@@ -29,75 +32,68 @@ mode.  Results land in ``results/chaos_recovery.txt`` and
 import random
 
 from repro.pcc import certify
-from repro.runtime import (
-    CanaryConfig,
-    InjectedCrash,
-    PacketRuntime,
-    RuntimeConfig,
-)
+from repro.runtime import CanaryConfig, PacketRuntime, RuntimeConfig
+from repro.runtime.chaos import sigkill_workers
 
 SHARDS = 4
-#: Modeled-cycle overhead bar for supervision (expected: exactly 0).
+#: Rounds per serve: the round length is sized from the trace, so a
+#: quick run has as many rounds for a worker to die in as a full one.
+ROUNDS = 8
+#: Modeled-cycle overhead bar for the process backend (expected:
+#: exactly 0).
 OVERHEAD_BAR = 0.02
 
 
-def _runtime(filter_policy, **overrides) -> PacketRuntime:
-    defaults = dict(shards=SHARDS, cycle_budget="auto", fault_threshold=3,
-                    restart_backoff=0.002, restart_backoff_cap=0.02,
-                    health_interval=0.001)
+def _runtime(filter_policy, certified_filters, **overrides) -> PacketRuntime:
+    defaults = dict(shards=SHARDS, cycle_budget="auto", fault_threshold=3)
     defaults.update(overrides)
-    return PacketRuntime(filter_policy, RuntimeConfig(**defaults))
-
-
-def _attach_filters(runtime, certified_filters) -> None:
+    runtime = PacketRuntime(filter_policy, RuntimeConfig(**defaults))
     for name, certified in certified_filters.items():
         runtime.attach(name, certified.binary.to_bytes())
+    return runtime
 
 
 def test_chaos_recovery(benchmark, filter_policy, certified_filters,
                         trace, record, record_json):
     results = {}
+    batch_size = -(-len(trace) // (SHARDS * ROUNDS))
+
+    def runtime(**overrides):
+        return _runtime(filter_policy, certified_filters,
+                        batch_size=batch_size, **overrides)
 
     def campaign():
-        # -- steady state: plain vs supervised, no faults ----------------
-        plain = _runtime(filter_policy)
-        _attach_filters(plain, certified_filters)
-        plain_report = plain.serve(trace)
-        plain_cycles = max(plain_report.shard_cycles)
+        # -- steady state: serial vs process, no faults ------------------
+        serial = runtime()
+        serial_report = serial.dispatch(trace)
+        serial_cycles = max(serial_report.shard_cycles)
 
-        supervised = _runtime(filter_policy)
-        _attach_filters(supervised, certified_filters)
-        sup_report = supervised.serve_supervised(trace)
-        sup_cycles = max(sup_report.shard_cycles)
+        forked = runtime(backend="process")
+        process_report = forked.serve(trace)
+        process_cycles = max(process_report.shard_cycles)
 
-        assert sup_report.healthy, "clean supervised run must be healthy"
-        overhead = (sup_cycles - plain_cycles) / plain_cycles
-        plain_accepts = {ext.name: ext.accepted
-                         for ext in plain.snapshot().extensions}
-        sup_accepts = {ext.name: ext.accepted
-                       for ext in supervised.snapshot().extensions}
-        assert sup_accepts == plain_accepts, \
-            "supervision changed verdicts"
+        assert not process_report.reexecuted, "a healthy worker died"
+        overhead = (process_cycles - serial_cycles) / serial_cycles
+        serial_accepts = {ext.name: ext.accepted
+                          for ext in serial.snapshot().extensions}
+        process_accepts = {ext.name: ext.accepted
+                           for ext in forked.snapshot().extensions}
+        assert process_accepts == serial_accepts, \
+            "the process backend changed verdicts"
 
         # -- crash recovery ---------------------------------------------
         rng = random.Random(0xC4A54)
-        schedule = set(rng.sample(range(len(trace)),
-                                  max(3, len(trace) // 200)))
-        # Every crash must be recoverable: budget restarts to the worst
-        # case of the whole schedule landing on one shard.
-        crashed = _runtime(filter_policy, max_restarts=len(schedule))
-        _attach_filters(crashed, certified_filters)
-        fired = set()
-
-        def hook(shard_index, sequence):
-            if sequence in schedule and sequence not in fired:
-                fired.add(sequence)
-                raise InjectedCrash(f"bench crash at packet {sequence}")
-
-        crash_report = crashed.serve_supervised(trace, fault_hook=hook)
-        assert crash_report.dispatched == crash_report.packets, \
-            "a crash lost packets"
-        assert not crash_report.failed_shards
+        deaths = {index: rng.randrange(ROUNDS)
+                  for index in range(1, SHARDS)}
+        crashed = runtime(backend="process")
+        with sigkill_workers(deaths):
+            crash_report = crashed.serve(trace)
+        assert crashed.snapshot().packets_in == len(trace), \
+            "a death lost packets"
+        assert crashed.snapshot() == serial.snapshot(), \
+            "re-execution changed the outcome"
+        assert sorted(crash_report.reexecuted) == sorted(deaths), \
+            "not one MTTR sample per death"
 
         # -- control-plane decision latency ------------------------------
         from repro.filters.programs import FILTER1
@@ -108,8 +104,7 @@ def test_chaos_recovery(benchmark, filter_policy, certified_filters,
             base + "        CMPEQ  r0, 0, r0\n        RET\n",
             filter_policy).binary.to_bytes()
 
-        canary_host = _runtime(filter_policy)
-        _attach_filters(canary_host, certified_filters)
+        canary_host = runtime()
         shadow = canary_host.upgrade(
             "filter1", divergent,
             CanaryConfig(sample_fraction=1.0, promote_after=10 ** 9))
@@ -124,19 +119,21 @@ def test_chaos_recovery(benchmark, filter_policy, certified_filters,
         promotion = shadow.record()
         assert promotion.state == "promoted"
 
+        mttr = [crash_report.reexecuted[index] for index in sorted(deaths)]
         results.update({
-            "packets": plain_report.packets,
+            "packets": serial_report.packets,
             "shards": SHARDS,
-            "plain_cycles": plain_cycles,
-            "supervised_cycles": sup_cycles,
+            "batch_size": batch_size,
+            "serial_cycles": serial_cycles,
+            "process_cycles": process_cycles,
             "overhead": overhead,
-            "plain_wall_seconds": plain_report.wall_seconds,
-            "supervised_wall_seconds": sup_report.wall_seconds,
-            "accepts": plain_accepts,
-            "crashes": crash_report.crashes,
-            "restarts": crash_report.restarts,
-            "mttr_seconds": list(crash_report.mttr_seconds),
-            "mean_mttr_seconds": crash_report.mean_mttr_seconds,
+            "serial_wall_seconds": serial_report.wall_seconds,
+            "process_wall_seconds": process_report.wall_seconds,
+            "accepts": serial_accepts,
+            "deaths": {str(index): round_ for index, round_
+                       in sorted(deaths.items())},
+            "mttr_seconds": mttr,
+            "mean_mttr_seconds": sum(mttr) / len(mttr),
             "rollback_decision_seconds": rollback.decision_seconds,
             "promotion_decision_seconds": promotion.decision_seconds,
             "promotion_clean_packets": promotion.clean,
@@ -147,27 +144,26 @@ def test_chaos_recovery(benchmark, filter_policy, certified_filters,
     mttr = results["mttr_seconds"]
     lines = [
         f"{len(certified_filters)} extensions, {results['packets']} "
-        f"packets, {SHARDS} shards, auto budgets, fault threshold 3",
+        f"packets, {SHARDS} shards, {ROUNDS} rounds of "
+        f"{results['batch_size']} frames per shard, auto budgets, "
+        f"fault threshold 3",
         "",
         "steady state (no faults):",
-        f"  modeled cycles  plain {results['plain_cycles']:>12,}   "
-        f"supervised {results['supervised_cycles']:>12,}   "
+        f"  modeled cycles  serial {results['serial_cycles']:>12,}   "
+        f"process {results['process_cycles']:>12,}   "
         f"overhead {results['overhead']:+.3%} "
         f"(bar: <{OVERHEAD_BAR:.0%})",
-        f"  python wall     plain "
-        f"{results['plain_wall_seconds'] * 1e3:>10.1f} ms  "
-        f"supervised {results['supervised_wall_seconds'] * 1e3:>10.1f} ms "
-        f"(informational; supervision is host-side)",
-        "  verdicts bit-identical under supervision",
+        f"  python wall     serial "
+        f"{results['serial_wall_seconds'] * 1e3:>10.1f} ms  "
+        f"process {results['process_wall_seconds'] * 1e3:>10.1f} ms "
+        f"(informational; the workers are host-side)",
+        "  verdicts bit-identical on the process backend",
         "",
-        f"crash recovery ({results['crashes']} injected crashes, "
-        f"{results['restarts']} restarts, 0 packets lost):",
-    ]
-    if mttr:
-        lines.append(
-            f"  MTTR mean {results['mean_mttr_seconds'] * 1e3:.1f} ms, "
-            f"min {min(mttr) * 1e3:.1f} ms, max {max(mttr) * 1e3:.1f} ms")
-    lines += [
+        f"crash recovery ({len(mttr)} workers SIGKILLed at seeded rounds "
+        f"{results['deaths']}, re-executed by the caller, 0 packets "
+        f"lost, snapshot equal to serial dispatch):",
+        f"  MTTR mean {results['mean_mttr_seconds'] * 1e3:.1f} ms, "
+        f"min {min(mttr) * 1e3:.1f} ms, max {max(mttr) * 1e3:.1f} ms",
         "",
         "control-plane decisions (sample 100%):",
         f"  divergent candidate rolled back in "
@@ -181,4 +177,4 @@ def test_chaos_recovery(benchmark, filter_policy, certified_filters,
     record_json("chaos", results)
 
     assert results["overhead"] < OVERHEAD_BAR, \
-        f"supervision cost {results['overhead']:.3%} modeled cycles"
+        f"the process backend cost {results['overhead']:.3%} modeled cycles"

@@ -80,11 +80,11 @@ def _budget_value(text: str):
             f"budget must be an integer or 'auto', not {text!r}")
 
 
-def _packet_count(text: str) -> int:
-    """``--packets`` accepts a positive integer."""
+def _positive_int(text: str) -> int:
+    """A count option accepts a positive integer."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
-            f"packet count must be a positive integer, not {text!r}")
+            f"expected a positive integer, not {text!r}")
     return int(text)
 
 
@@ -226,7 +226,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     snapshot = runtime.snapshot(extra={"backend": report.backend,
                                        "wall_seconds": report.wall_seconds,
-                                       "phase_seconds": report.phase_seconds})
+                                       "phase_seconds": report.phase_seconds,
+                                       "reexecuted": report.reexecuted})
     model = config.cost_model
     print(f"\nserved {report.packets} packets over {config.shards} "
           f"shard(s), {report.backend} backend "
@@ -533,10 +534,11 @@ def main(argv: list[str] | None = None) -> int:
     p_batch.add_argument("--policy", default="packet-filter")
     p_batch.add_argument("--jobs", type=int, default=None,
                          help="worker processes (0 = in-process)")
-    p_batch.add_argument("--repeat", type=int, default=1,
+    p_batch.add_argument("--repeat", type=_positive_int, default=1,
                          help="re-submit the batch N times (warm loads "
                               "hit the cache)")
-    p_batch.add_argument("--cache-capacity", type=int, default=64)
+    p_batch.add_argument("--cache-capacity", type=_positive_int,
+                         default=64)
     p_batch.set_defaults(fn=_cmd_batch)
 
     p_serve = sub.add_parser(
@@ -546,27 +548,29 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--builtin-filters", action="store_true",
                          help="certify + attach the paper's four filters")
     p_serve.add_argument("--policy", default="packet-filter")
-    p_serve.add_argument("--packets", type=_packet_count, default=10_000)
-    p_serve.add_argument("--repeat", type=int, default=1,
+    p_serve.add_argument("--packets", type=_positive_int, default=10_000)
+    p_serve.add_argument("--repeat", type=_positive_int, default=1,
                          help="replay the trace N times")
     p_serve.add_argument("--seed", type=int, default=19961028)
-    p_serve.add_argument("--shards", type=int, default=4)
+    p_serve.add_argument("--shards", type=_positive_int, default=4)
     p_serve.add_argument("--backend", choices=("serial", "process"),
                          default="serial",
                          help="run the shards serially in this process "
                               "(default), or shard 0 here and the others "
                               "on shared-nothing forked workers")
-    p_serve.add_argument("--batch-size", type=int, default=8192,
-                         help="frames per dispatch chunk on the batched "
-                              "hot path")
+    p_serve.add_argument("--batch-size", type=_positive_int,
+                         default=8192,
+                         help="frames per shard per dispatch round")
     p_serve.add_argument("--budget", type=_budget_value, default=None,
                          help="per-invocation cycle budget (an int, or "
                               "'auto' to derive each extension's budget "
                               "from its static WCET bound)")
     p_serve.add_argument("--budget-slack", type=float, default=0.0,
                          help="headroom on 'auto' budgets (0.25 = +25%%)")
-    p_serve.add_argument("--fault-threshold", type=int, default=3,
-                         help="consecutive faults before quarantine")
+    p_serve.add_argument("--fault-threshold", type=_positive_int,
+                         default=3,
+                         help="consecutive faults on one shard before "
+                              "quarantine")
     p_serve.add_argument("--downgrade", action="store_true",
                          help="run unproven binaries on the checked tier")
     p_serve.add_argument("--inject-faults", type=float, default=0.0,
@@ -587,23 +591,24 @@ def main(argv: list[str] | None = None) -> int:
                                 "and admit it as a block-level proof "
                                 "patch against the live container")
     p_upgrade.add_argument("--policy", default="packet-filter")
-    p_upgrade.add_argument("--packets", type=_packet_count, default=2000)
+    p_upgrade.add_argument("--packets", type=_positive_int, default=2000)
     p_upgrade.add_argument("--seed", type=int, default=19961028)
-    p_upgrade.add_argument("--shards", type=int, default=2)
+    p_upgrade.add_argument("--shards", type=_positive_int, default=2)
     p_upgrade.add_argument("--budget", type=_budget_value, default="auto",
                            help="per-invocation cycle budget (int, 'auto')")
     p_upgrade.add_argument("--sample", type=float, default=1.0,
                            help="fraction of the stream the canary shadows")
-    p_upgrade.add_argument("--promote-after", type=int, default=128,
+    p_upgrade.add_argument("--promote-after", type=_positive_int,
+                           default=128,
                            help="clean sampled packets before promotion")
     p_upgrade.set_defaults(fn=_cmd_upgrade)
 
     p_chaos = sub.add_parser(
         "chaos", help="fault-injection harness with recovery invariants")
-    p_chaos.add_argument("--packets", type=_packet_count, default=600)
+    p_chaos.add_argument("--packets", type=_positive_int, default=600)
     p_chaos.add_argument("--seed", type=int, default=0xC4405)
-    p_chaos.add_argument("--shards", type=int, default=2)
-    p_chaos.add_argument("--mutation-rounds", type=int, default=4,
+    p_chaos.add_argument("--shards", type=_positive_int, default=2)
+    p_chaos.add_argument("--mutation-rounds", type=_positive_int, default=4,
                          help="corrupted containers per mutation kind")
     p_chaos.add_argument("--scenario", action="append", metavar="NAME",
                          help="run only this scenario (repeatable)")
@@ -641,7 +646,7 @@ def main(argv: list[str] | None = None) -> int:
     p_filter = sub.add_parser("filter", help="run a paper filter + "
                                              "baselines on a trace")
     p_filter.add_argument("name")
-    p_filter.add_argument("--packets", type=_packet_count, default=2000)
+    p_filter.add_argument("--packets", type=_positive_int, default=2000)
     p_filter.set_defaults(fn=_cmd_filter)
 
     args = parser.parse_args(argv)

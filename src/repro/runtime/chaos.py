@@ -3,8 +3,8 @@
 The PR's robustness claims are cheap to state and easy to regress, so
 this module makes them executable.  Each **scenario** wires a real
 :class:`~repro.runtime.PacketRuntime` (no mocks — the same loader,
-shards, supervisor and canary machinery production uses), injects one
-class of seeded fault, and asserts the recovery invariants:
+shards, process backend and canary machinery production uses), injects
+one class of seeded fault, and asserts the recovery invariants:
 
 ====================  ==================================================
 scenario              injected fault → asserted invariant
@@ -22,13 +22,15 @@ budget-overrun        an operator-broken 1-cycle budget → quarantine
                       verdict streams untouched; reinstatement re-derives
                       the WCET budget and the extension serves
                       bit-identically again (MTTR recorded)
-shard-crash           injected worker-thread crashes mid-stream → every
-                      packet dispatched (none lost, none reordered),
-                      restarts bounded, MTTR recorded, verdict counters
-                      identical to an unsupervised run
-shard-failure         a shard that crashes on every restart → declared
-                      failed after ``max_restarts``; its residual ingress
-                      is shed *and counted*, other shards unaffected
+shard-crash           process-backend workers SIGKILLed at seeded
+                      rounds, over several bursts → the caller re-executes
+                      each dead worker's remaining rounds: every frame
+                      dispatched, snapshot and shard memories equal to
+                      a serial twin's after every burst, one MTTR sample
+                      per death
+shard-failure         every worker SIGKILLed in its first round → the
+                      caller serves every shard, with the same
+                      invariants
 pool-wedge            validation pool workers hang → per-item timeouts
                       fire, the batch degrades to in-process validation,
                       verdicts unchanged, ``validate_batch`` returns
@@ -52,7 +54,7 @@ upgrade-promotion     a benign candidate → auto-promotion after
                       re-resolved for the new program
 ====================  ==================================================
 
-Everything is seeded (trace, samplers, mutants, crash schedule), so a
+Everything is seeded (trace, samplers, mutants, kill schedule), so a
 failing run replays exactly.  ``pcc chaos`` drives :func:`run_chaos`
 from the command line; CI runs the ``--quick`` profile.
 """
@@ -60,7 +62,9 @@ from the command line; CI runs the ``--quick`` profile.
 from __future__ import annotations
 
 import os
+import signal
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.errors import ValidationError
@@ -75,8 +79,8 @@ from repro.pcc import certify
 from repro.pcc.mutate import mutants
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.extension import ExtensionState
-from repro.runtime.runtime import PacketRuntime
-from repro.runtime.supervisor import InjectedCrash
+from repro.runtime.runtime import PacketRuntime, rounds
+from repro.runtime.shard import Shard
 from repro.runtime.versions import CanaryConfig
 
 __all__ = [
@@ -85,6 +89,7 @@ __all__ = [
     "ChaosReport",
     "ScenarioResult",
     "run_chaos",
+    "sigkill_workers",
 ]
 
 #: Appended to filter1 to build a benign upgrade candidate: different
@@ -219,9 +224,7 @@ class _Campaign:
 
     def runtime(self, **overrides) -> PacketRuntime:
         defaults = dict(shards=self.config.shards, cycle_budget="auto",
-                        fault_threshold=3,
-                        restart_backoff=0.002, restart_backoff_cap=0.02,
-                        health_interval=0.001)
+                        fault_threshold=3)
         defaults.update(overrides)
         return PacketRuntime(self.policy, RuntimeConfig(**defaults))
 
@@ -358,75 +361,106 @@ def _scenario_budget_overrun(campaign: _Campaign, checks: _Checks) -> dict:
     return {"mttr_seconds": [mttr], "overruns": overruns}
 
 
-def _crash_schedule(config: ChaosConfig, packets: int) -> set:
-    """Packet sequence numbers at which the handling worker crashes
-    (whichever shard that is — assignment is ``sequence % shards``)."""
-    import random
+#: The kill scenarios' round length and burst count: small rounds, so
+#: that every burst has several for a worker to die in.
+_KILL_BATCH = 8
+_KILL_BURSTS = 3
 
-    rng = random.Random(config.seed ^ 0x5A5A)
-    crashes = max(2, packets // 100)
-    return set(rng.sample(range(packets), crashes))
+
+@contextmanager
+def sigkill_workers(schedule: dict[int, int]):
+    """While open, the process-backend worker serving shard ``i``
+    SIGKILLs itself at the start of round ``schedule[i]`` of each serve
+    (``schedule`` may change between serves).
+
+    ``Shard.dispatch`` runs once per round in a worker, so a wrapper
+    around it counts the worker's rounds.  It never kills the caller,
+    which re-executes a dead worker's rounds through the same method.
+    """
+    caller = os.getpid()
+    done = [0]   # rounds this worker has run; forked at 0 every serve
+    original = Shard.dispatch
+
+    def dispatch(shard, *args, **kwargs):
+        if os.getpid() != caller:
+            if schedule.get(shard.index) == done[0]:
+                os.kill(os.getpid(), signal.SIGKILL)
+            done[0] += 1
+        return original(shard, *args, **kwargs)
+
+    Shard.dispatch = dispatch
+    try:
+        yield
+    finally:
+        Shard.dispatch = original
+
+
+def _kill_workers(campaign: _Campaign, checks: _Checks, deaths) -> dict:
+    """Serve the trace in bursts on the process backend beside a serial
+    twin, SIGKILLing workers: ``deaths(shards, count)`` maps a worker's
+    shard to the round it dies in, for a burst of ``count`` rounds on
+    ``shards`` shards (at least 2, so that there is a worker to kill).
+    """
+    shards = max(2, campaign.config.shards)
+    live = campaign.runtime(shards=shards, backend="process",
+                            batch_size=_KILL_BATCH)
+    twin = campaign.runtime(shards=shards, batch_size=_KILL_BATCH)
+    campaign.attach_all(live)
+    campaign.attach_all(twin)
+    trace = campaign.trace
+    size = -(-len(trace) // _KILL_BURSTS)
+    killed = served = 0
+    mttr: list[float] = []
+    mismatched, short, unsampled = [], [], []
+    schedule: dict[int, int] = {}
+    with sigkill_workers(schedule):
+        for burst, start in enumerate(range(0, len(trace), size)):
+            frames = trace[start:start + size]
+            schedule.clear()
+            schedule.update(deaths(shards, len(rounds(
+                len(frames), shards, _KILL_BATCH))))
+            report = live.serve(frames)
+            twin.dispatch(frames)
+            killed += len(schedule)
+            served += report.packets
+            mttr.extend(report.reexecuted.values())
+            snapshot = live.snapshot()
+            if (snapshot != twin.snapshot()
+                    or _memories(live) != _memories(twin)):
+                mismatched.append(burst)
+            if snapshot.packets_in != served:
+                short.append(burst)
+            if sorted(report.reexecuted) != sorted(schedule):
+                unsampled.append(burst)
+    checks.add("workers were killed", killed > 0, f"deaths={killed}")
+    checks.add("snapshot and shard memories equal the serial twin's "
+               "after every burst", not mismatched,
+               f"differ after bursts {mismatched}" if mismatched else "")
+    checks.add("every frame dispatched", not short,
+               f"frames missing after bursts {short}" if short else "")
+    checks.add("one MTTR sample per death", not unsampled and
+               len(mttr) == killed,
+               f"{len(mttr)} samples for {killed} deaths")
+    return {"mttr_seconds": mttr, "deaths": killed, "shards": shards}
+
+
+def _memories(runtime: PacketRuntime) -> list[tuple[bytes, bytes]]:
+    return [(bytes(shard.memory.region("packet")),
+             bytes(shard.memory.region("scratch")))
+            for shard in runtime.shards]
 
 
 def _scenario_shard_crash(campaign: _Campaign, checks: _Checks) -> dict:
-    config = campaign.config
-    runtime = campaign.runtime()
-    campaign.attach_all(runtime)
-    schedule = _crash_schedule(config, len(campaign.trace))
-    fired = set()
+    import random
 
-    def hook(shard_index: int, sequence: int) -> None:
-        if sequence in schedule and sequence not in fired:
-            fired.add(sequence)
-            raise InjectedCrash(f"chaos crash on shard {shard_index} "
-                                f"at packet {sequence}")
-
-    report = runtime.serve_supervised(campaign.trace, fault_hook=hook)
-    checks.add("crashes were injected", report.crashes >= len(schedule),
-               f"crashes={report.crashes}, scheduled={len(schedule)}")
-    checks.equal("no packet lost",
-                 report.dispatched, report.packets)
-    checks.equal("nothing shed", report.shed, 0)
-    checks.equal("no shard failed", report.failed_shards, ())
-    checks.equal("every crash recovered",
-                 report.restarts, report.crashes)
-    checks.add("MTTR recorded per restart",
-               len(report.mttr_seconds) == report.restarts,
-               f"{len(report.mttr_seconds)} samples for "
-               f"{report.restarts} restarts")
-
-    reference = campaign.runtime()
-    campaign.attach_all(reference)
-    reference.dispatch(campaign.trace)
-    ref = {ext.name: ext.accepted for ext in reference.snapshot().extensions}
-    got = {ext.name: ext.accepted for ext in runtime.snapshot().extensions}
-    checks.equal("accept counts identical to unsupervised dispatch",
-                 got, ref)
-    return {"mttr_seconds": list(report.mttr_seconds),
-            "crashes": report.crashes, "restarts": report.restarts}
+    rng = random.Random(campaign.config.seed ^ 0x5A5A)
+    return _kill_workers(campaign, checks, lambda shards, count: {
+        rng.randrange(1, shards): rng.randrange(count)})
 
 
 def _scenario_shard_failure(campaign: _Campaign, checks: _Checks) -> dict:
-    runtime = campaign.runtime(max_restarts=2)
-    campaign.attach_all(runtime)
-
-    def hook(shard_index: int, sequence: int) -> None:
-        if shard_index == 0:
-            raise InjectedCrash("shard 0 is cursed")
-
-    report = runtime.serve_supervised(campaign.trace, fault_hook=hook)
-    checks.equal("cursed shard declared failed",
-                 report.failed_shards, (0,))
-    checks.equal("restart budget honoured", report.restarts, 2)
-    checks.add("residual ingress shed and counted", report.shed > 0,
-               f"shed={report.shed}")
-    checks.equal("no packet silently vanished",
-                 report.dispatched + report.shed, report.packets)
-    healthy = [worker for worker in report.workers if worker["shard"] != 0]
-    checks.add("other shards kept serving",
-               all(worker["dispatched"] > 0 for worker in healthy))
-    return {"shed": report.shed, "failed_shards": list(report.failed_shards),
-            "mttr_seconds": list(report.mttr_seconds)}
+    return _kill_workers(campaign, checks, lambda shards, count: {
+        index: 0 for index in range(1, shards)})
 
 
 def _pool_scenario(campaign: _Campaign, checks: _Checks,

@@ -29,13 +29,17 @@ class RuntimeConfig:
     ``backend``           how :meth:`serve` runs the shards:
                           ``"serial"`` (default; :meth:`dispatch` in the
                           caller) or ``"process"`` (shard 0 in the caller,
-                          shared-nothing forked workers for the others,
-                          merged deterministically on join — see
+                          forked workers for the others, exchanging state
+                          with it at every round boundary — see
                           :mod:`repro.runtime.backends`)
-    ``batch_size``        frames per dispatch chunk on the batched hot
-                          path; also the process backend's quarantine-
-                          relay granularity (each shard drains remote
-                          deactivations between chunks)
+    ``batch_size``        the round length: each round gives each shard
+                          one chunk of ``batch_size`` frames, run
+                          extension-major.  It therefore also fixes the
+                          order in which extensions see a shard's shared
+                          state (the KV state area), and how soon a
+                          quarantine reaches the other shards: at the
+                          end of the round (see :mod:`repro.runtime
+                          .runtime`)
     ``cycle_budget``      per-invocation cycle cap; ``None`` disables —
                           overruns fault the extension (liveness policy);
                           the string ``"auto"`` derives each extension's
@@ -50,7 +54,9 @@ class RuntimeConfig:
                           engine's block-granular accounting)
     ``prescreen``         run the static-analysis fast-reject pass in
                           the loader before full PCC validation
-    ``fault_threshold``   consecutive faults before quarantine; ``None``
+    ``fault_threshold``   consecutive faults on one shard before that
+                          shard stops invoking the extension and the
+                          round's boundary quarantines it; ``None``
                           never quarantines
     ``downgrade_unproven``  admit proof-less binaries onto the *checked*
                           abstract-machine path instead of rejecting
@@ -62,21 +68,6 @@ class RuntimeConfig:
     ``canary``            default :class:`~repro.runtime.versions
                           .CanaryConfig` for :meth:`PacketRuntime
                           .upgrade` (overridable per upgrade)
-
-    Supervisor knobs (the :class:`~repro.runtime.supervisor
-    .ShardSupervisor` behind :meth:`PacketRuntime.serve_supervised`):
-
-    ``ingress_capacity``  bounded per-shard ingress queue depth
-    ``shed_timeout``      how long the feeder waits for queue space
-                          before shedding a frame (0 = shed immediately
-                          on saturation); sheds are always counted
-    ``max_restarts``      crash-restarts per shard worker before the
-                          shard is declared failed (its remaining
-                          ingress is shed, counted, never silent)
-    ``restart_backoff``   base of the exponential restart backoff
-                          (seconds; doubles per restart, capped at
-                          ``restart_backoff_cap``)
-    ``health_interval``   supervisor health-check poll period (seconds)
     """
 
     shards: int = 1
@@ -94,12 +85,6 @@ class RuntimeConfig:
     memory_factory: Callable = reusable_packet_memory
     registers_fn: Callable[[int], dict] = filter_registers
     canary: CanaryConfig = field(default_factory=CanaryConfig)
-    ingress_capacity: int = 4096
-    shed_timeout: float = 0.25
-    max_restarts: int = 3
-    restart_backoff: float = 0.01
-    restart_backoff_cap: float = 0.5
-    health_interval: float = 0.002
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -110,16 +95,6 @@ class RuntimeConfig:
                 f"got {self.backend!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
-        if self.ingress_capacity < 1:
-            raise ValueError("ingress capacity must be positive")
-        if self.shed_timeout < 0:
-            raise ValueError("shed timeout must be non-negative")
-        if self.max_restarts < 0:
-            raise ValueError("max restarts must be non-negative")
-        if self.restart_backoff < 0 or self.restart_backoff_cap < 0:
-            raise ValueError("restart backoff must be non-negative")
-        if self.health_interval <= 0:
-            raise ValueError("health interval must be positive")
         budget = self.cycle_budget
         if isinstance(budget, str):
             if budget != "auto":

@@ -1,25 +1,24 @@
-"""Per-extension runtime state: counters, fault ledger, quarantine.
+"""Per-extension runtime state: counters, fault runs, quarantine.
 
 An attached extension carries two kinds of state with very different
 access patterns:
 
 * **hot counters** (packets, verdicts, cycles, and an exact per-cycle
   latency histogram) are bumped on every dispatch.  They are sharded:
-  each worker owns one :class:`ShardCounters` and touches nothing else,
+  each shard owns one :class:`ShardCounters` and touches nothing else,
   so the hot path takes no locks.  A snapshot merges the shards — and
   because histogram merge is plain addition, the merge is associative
-  and deterministic regardless of worker interleaving or whether the
-  shards ran in the caller, on supervised worker threads, or in forked
-  worker processes.
+  and deterministic regardless of whether the shards ran in the caller
+  or in forked worker processes.
 * **the state machine** (ACTIVE → QUARANTINED → REINSTATED) changes only
-  on faults and operator action, so transitions sit behind a lock and
-  the dispatch loop reads a single ``active`` boolean.
+  at round boundaries and on operator action, so transitions sit behind
+  a lock and the dispatch loop reads a single ``active`` boolean.
 
-Consecutive-fault accounting is global across shards — "this extension
-faulted N times in a row, runtime-wide" — because quarantine is a
-runtime-wide decision.  The counter is only *written* on the fault path
-and on the first success after a fault, so steady-state dispatch never
-touches it.
+Consecutive-fault runs are per shard, like the shard's memory (per-CPU,
+in kernel terms): each lives in that shard's :class:`ShardCounters`, a
+success resets it, and the shard stops invoking the extension once its
+own run reaches the threshold.  The runtime-wide decision — quarantine —
+is taken at the next round boundary (see :mod:`repro.runtime.runtime`).
 """
 
 from __future__ import annotations
@@ -38,8 +37,9 @@ class ExtensionState(enum.Enum):
     """The quarantine state machine.
 
     ACTIVE        serving packets (initial state after admission)
-    QUARANTINED   isolated after ``fault_threshold`` consecutive faults;
-                  skipped by every shard until reinstated
+    QUARANTINED   isolated at the round boundary after some shard's run
+                  of ``fault_threshold`` consecutive faults; skipped by
+                  every shard until reinstated
     REINSTATED    serving again after revalidation — behaviourally
                   ACTIVE, kept distinct so telemetry shows the history
     """
@@ -65,6 +65,17 @@ class ShardCounters:
     faults: int = 0
     cycles: int = 0
     cycle_hist: dict[int, int] = field(default_factory=dict)
+    #: This shard's consecutive-fault run: a success resets it, and the
+    #: shard stops invoking the extension once it reaches the threshold.
+    fault_run: int = 0
+    #: The latest fault of the shard's current round (reset when the
+    #: shard starts a chunk); the round's boundary copies it into the
+    #: extension's ``last_fault``.
+    last_fault: str | None = None
+
+    def stopped(self, threshold: int | None) -> bool:
+        """Whether this shard no longer invokes the extension."""
+        return threshold is not None and self.fault_run >= threshold
 
 
 class RuntimeExtension:
@@ -109,38 +120,35 @@ class RuntimeExtension:
         #: its lock); the dispatch hot loop reads it once per invocation.
         self.canary = None
         self.quarantines = 0
-        self.consecutive_faults = 0
         self.last_fault: str | None = None
         self._lock = threading.Lock()
         self.shard_counters = [ShardCounters() for _ in range(shards)]
 
     # -- fault ledger ----------------------------------------------------
 
-    def record_fault(self, reason: str, threshold: int | None) -> bool:
-        """Count one fault; returns True when this fault crossed the
-        quarantine threshold (the caller logs the transition)."""
-        with self._lock:
-            self.consecutive_faults += 1
-            self.last_fault = reason
-            if (threshold is not None and self.active
-                    and self.consecutive_faults >= threshold):
-                self.state = ExtensionState.QUARANTINED
-                self.active = False
-                self.quarantines += 1
-                return True
-            return False
+    @property
+    def consecutive_faults(self) -> int:
+        """The longest per-shard fault run."""
+        return max(counters.fault_run for counters in self.shard_counters)
 
-    def record_success(self) -> None:
-        """Reset the consecutive-fault run (called only when nonzero)."""
+    def quarantine(self) -> None:
+        """The ACTIVE → QUARANTINED transition, taken at a round
+        boundary once some shard's run reached the threshold."""
         with self._lock:
-            self.consecutive_faults = 0
+            self.state = ExtensionState.QUARANTINED
+            self.active = False
+            self.quarantines += 1
 
     def reinstate(self) -> None:
         with self._lock:
             self.state = ExtensionState.REINSTATED
             self.active = True
-            self.consecutive_faults = 0
             self.last_fault = None
+            self._reset_runs()
+
+    def _reset_runs(self) -> None:
+        for counters in self.shard_counters:
+            counters.fault_run = 0
 
     # -- hot swap ---------------------------------------------------------
 
@@ -168,8 +176,8 @@ class RuntimeExtension:
             self.cycle_budget = candidate.cycle_budget
             self.wcet_bound = candidate.wcet_bound
             self.version = candidate.version
-            self.consecutive_faults = 0
             self.last_fault = None
+            self._reset_runs()
 
     # -- aggregation -----------------------------------------------------
 

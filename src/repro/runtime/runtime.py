@@ -17,15 +17,37 @@ fleet mid-rollout realistically hosts a mix.
 
 Dispatch fans the packet stream across :class:`~repro.runtime.shard
 .Shard` workers — modeled cores with private memories and cycle clocks
-— and each shard runs every active extension over each of its packets.
+— on one schedule of **rounds**, which :meth:`PacketRuntime.dispatch`
+(with or without ``collect``) and the process backend all follow:
+
+* round ``r`` is ``kept[r·B·N : (r+1)·B·N]`` of the contract-kept
+  frames, where ``B`` is ``batch_size`` and ``N`` the shard count; shard
+  ``i`` takes every ``N``-th frame of the round, starting at offset
+  ``i`` (:func:`rounds`);
+* serial dispatch runs the rounds in order and the shards of one round
+  in index order; within a shard's chunk, each extension it serves runs
+  over the whole chunk, in attach order (extension-major; see
+  :meth:`Shard.dispatch`);
+* the end of a round is a **boundary**, handled in shard-index order
+  (:meth:`PacketRuntime._end_round`): each extension's ``last_fault``
+  takes each shard's latest fault from the round, and every extension
+  some shard stopped is quarantined once.
+
+Between two boundaries, each shard's work is a pure function of its own
+frames and its state at the last boundary.  That is what lets the
+process backend (:mod:`repro.runtime.backends`) run the shards of a
+round at once in forked workers, and re-execute a dead worker's rounds
+in the caller, with the same result.
+
 Robustness is policy, not hope:
 
 * **cycle budgets** — an invocation that overruns its budget faults
   (liveness is not covered by the safety proof);
-* **fault thresholds** — ``fault_threshold`` *consecutive* faults flip
-  an extension ACTIVE → QUARANTINED: every shard skips it from the next
-  packet on, and the remaining extensions' verdicts are untouched
-  (dispatch is per-extension independent, so isolation is exact);
+* **fault thresholds** — a shard that sees ``fault_threshold``
+  *consecutive* faults from an extension stops invoking it at once; at
+  the round's boundary the extension flips ACTIVE → QUARANTINED, and no
+  shard serves it from the next round on.  Its neighbours keep serving
+  every frame;
 * **reinstatement** — :meth:`reinstate` re-admits a quarantined
   extension through the loader (content-addressed, so revalidation of
   unchanged bytes is O(hash)); success moves it to REINSTATED.  An
@@ -42,7 +64,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.alpha.batch import FramePlan, compile_batch
 from repro.alpha.encoding import decode_program
@@ -72,6 +94,15 @@ from repro.runtime.versions import CanaryConfig, ShadowCanary, UpgradeRecord
 from repro.vcgen.policy import SafetyPolicy
 
 
+def rounds(frames: int, shards: int, batch_size: int) -> list[list[slice]]:
+    """The dispatch schedule over ``frames`` kept frames: one list per
+    round, holding each shard's chunk as a slice of the kept frames."""
+    step = batch_size * shards
+    return [[slice(start + index, start + step, shards)
+             for index in range(shards)]
+            for start in range(0, frames, step)]
+
+
 @dataclass(frozen=True)
 class DispatchReport:
     """Outcome of one :meth:`PacketRuntime.dispatch`/:meth:`serve` call."""
@@ -94,6 +125,10 @@ class DispatchReport:
     #: (:meth:`serve` on the process backend, which runs shard 0 in the
     #: caller and forks a worker per other shard — none at one shard).
     backend: str = "serial"
+    #: Each shard whose worker died mid-serve, mapped to the wall
+    #: seconds from detecting the death to the end of the round the
+    #: caller re-executed for it (process backend only).
+    reexecuted: dict[int, float] = field(default_factory=dict)
 
     @property
     def wall_seconds(self) -> float:
@@ -124,12 +159,12 @@ class PacketRuntime:
     behind ``self._lock`` — concurrent control-plane calls are safe.
     Validation itself (the slow part) runs outside the lock, so a long
     admission never blocks telemetry or other control calls.  The
-    dispatch paths (:meth:`dispatch`, :meth:`serve`,
-    :meth:`serve_supervised`) snapshot the extension *list* once at
-    entry: an extension attached mid-serve joins on the next call, and a
-    detached one finishes the in-flight call — the hot loop itself takes
-    no locks (quarantine flips and canary promotion publish single
-    attributes the loop reads once per invocation).
+    dispatch paths (:meth:`dispatch`, :meth:`serve`) snapshot the
+    extension *list* once at entry: an extension attached mid-serve
+    joins on the next call, and a detached one finishes the in-flight
+    call.  The hot loop itself takes no locks: quarantine flips happen
+    at round boundaries, and canary promotion publishes single
+    attributes the loop reads once per invocation.
     """
 
     def __init__(self, policy: SafetyPolicy,
@@ -145,7 +180,6 @@ class PacketRuntime:
         self._lock = threading.Lock()
         self.contract_drops = 0
         self.upgrade_log: list[UpgradeRecord] = []
-        self.last_supervisor_report = None
         # Batch compilation specializes against the *standard* packet-
         # filter invocation contract; a runtime configured with custom
         # memory/register callables gets no frame plan and every
@@ -408,9 +442,9 @@ class PacketRuntime:
         return shadow
 
     def _decide_canary(self, shadow: ShadowCanary, promoted: bool) -> None:
-        """Finish an upgrade (called once per canary, possibly from a
-        shard worker thread): clear the shadow slot, adopt the candidate
-        on promotion, and append the audit record."""
+        """Finish an upgrade (called once per canary): clear the shadow
+        slot, adopt the candidate on promotion, and append the audit
+        record."""
         with self._lock:
             live = self._extensions.get(shadow.name)
             if live is shadow.live:
@@ -422,29 +456,28 @@ class PacketRuntime:
     # -- dispatch ---------------------------------------------------------
 
     def dispatch(self, frames, collect: bool = False) -> DispatchReport:
-        """Serial dispatch (deterministic round-robin shard assignment).
+        """Serial dispatch: the semantics reference for :meth:`serve`.
 
-        The semantics reference for :meth:`serve`: identical verdicts
-        and counters, packet order preserved in the collected records.
+        Runs the rounds of the schedule in order, and the shards of
+        each round in index order (see the module docstring).
+        ``collect`` records the verdicts of this same computation, in
+        packet order.
         """
         began = time.perf_counter()
         kept, drops = self._apply_contract(frames)
         extensions = self.extensions
         shards = self.shards
-        count = len(shards)
         before = [shard.cycles for shard in shards]
+        records = [None] * len(kept) if collect else None
         started = time.perf_counter()
-        if collect:
-            records = []
-            for index, frame in enumerate(kept):
-                shard = shards[index % count]
-                records.extend(shard.dispatch([frame], extensions,
-                                              self.policy, collect=True))
-        else:
-            records = None
-            for index in range(count):
-                shards[index].dispatch(kept[index::count], extensions,
-                                       self.policy)
+        for chunks in rounds(len(kept), len(shards),
+                             self.config.batch_size):
+            for shard, chunk in zip(shards, chunks):
+                verdicts = shard.dispatch(kept[chunk], extensions,
+                                          self.policy, collect)
+                if collect:
+                    records[chunk] = verdicts
+            self._end_round(extensions)
         finished = time.perf_counter()
         return DispatchReport(
             packets=len(kept), contract_drops=drops,
@@ -454,48 +487,43 @@ class PacketRuntime:
                                in zip(shards, before)),
             clock_mhz=self.config.cost_model.clock_mhz, records=records)
 
+    def _end_round(self, extensions) -> list[str]:
+        """The boundary step, in shard-index order: each extension's
+        ``last_fault`` takes each shard's latest fault from the round,
+        and every extension some shard stopped is quarantined once, so
+        that no shard serves it from the next round on.  Returns the
+        names quarantined."""
+        threshold = self.config.fault_threshold
+        quarantined = []
+        for extension in extensions:
+            stopped = False
+            for counters in extension.shard_counters:
+                if counters.last_fault is not None:
+                    extension.last_fault = counters.last_fault
+                stopped = stopped or counters.stopped(threshold)
+            if stopped and extension.active:
+                extension.quarantine()
+                quarantined.append(extension.name)
+        return quarantined
+
     def serve(self, frames) -> DispatchReport:
         """Dispatch on the vehicle ``config.backend`` names.
 
         ``"serial"`` is :meth:`dispatch` itself.  ``"process"`` runs
-        shard 0 in the caller and forks one shared-nothing worker for
-        each other shard, frames interleaved round-robin so the modeled
-        cores stay balanced, and merges their counters deterministically
-        on join (see :mod:`repro.runtime.backends`); without
-        ``os.fork``, or while a canary is in flight, it falls back to
-        :meth:`dispatch`.  Verdicts, cycle clocks, and per-extension
-        counters are bit-identical either way; only the report's
-        ``phase_seconds`` and ``backend`` tag depend on the vehicle.
+        shard 0 in the caller and forks one worker for each other shard;
+        the workers exchange their shard's state with the caller at
+        every round boundary (see :mod:`repro.runtime.backends`), and
+        the caller re-executes the remaining rounds of any worker that
+        dies.  Without ``os.fork``, or while a canary is in flight, it
+        falls back to :meth:`dispatch`.  The runtime ends in the same
+        state either way; only the report's ``phase_seconds``,
+        ``reexecuted`` and ``backend`` depend on the vehicle.
         """
         if self.config.backend == "process":
             from repro.runtime.backends import ProcessBackend
 
             return ProcessBackend().serve(self, frames)
         return self.dispatch(frames)
-
-    def serve_supervised(self, frames, fault_hook=None):
-        """Dispatch under the shard supervisor: bounded per-shard
-        ingress queues, crash-restarted workers, load shedding.
-
-        Same semantics as :meth:`serve` when nothing goes wrong (same
-        round-robin assignment, same per-shard packet order — verdicts
-        and counters are bit-identical); under worker crashes the
-        supervisor restarts the shard with exponential backoff and no
-        packet is lost or reordered, and under sustained saturation
-        frames are shed *with* accounting (never silently).  Returns a
-        :class:`~repro.runtime.supervisor.SupervisorReport`; the most
-        recent report also rides along in :meth:`snapshot`.
-
-        ``fault_hook(shard_index, sequence)`` — chaos-injection point,
-        called before each dispatch; an exception it raises kills that
-        worker thread mid-stream (the packet is requeued, not lost).
-        """
-        from repro.runtime.supervisor import ShardSupervisor
-
-        supervisor = ShardSupervisor(self, fault_hook=fault_hook)
-        report = supervisor.run(frames)
-        self.last_supervisor_report = report
-        return report
 
     def _apply_contract(self, frames) -> tuple[list, int]:
         """Keep the kernel's half of the precondition bargain (the
@@ -529,9 +557,6 @@ class PacketRuntime:
                                 for shard in self.shards),
             upgrades=tuple(record.to_dict()
                            for record in self.upgrade_log),
-            supervisor=(self.last_supervisor_report.to_dict()
-                        if self.last_supervisor_report is not None
-                        else None),
         )
 
     def stats_json(self, indent: int | None = 2) -> str:

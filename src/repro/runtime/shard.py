@@ -20,18 +20,20 @@ consult predicates rebound per packet from the policy's
 ``make_checkers``.  The frame-major loop and the shadow canary both
 call it.
 
-Dispatch is **extension-major and batched** on the throughput path: each
-chunk of frames runs through one extension at a time via its compiled
-batch runner (:mod:`repro.alpha.batch`) or the engine's generic
-:meth:`~repro.alpha.engine.ExecutionEngine.run_batch`, so the per-packet
-Python dispatch toll is paid once per chunk instead of once per
-invocation.  The reordering is sound because an invocation is a pure
-function of the frame bytes — the packet region is rebound and the
-scratch region re-zeroed before every run — so per-extension counters,
-cycle totals, verdicts, and the fault/quarantine protocol come out
-bit-identical to the frame-major reference loop (``_dispatch_frames``),
-which still serves the checked tier, canary shadowing, and
-verdict-collecting callers.
+:meth:`Shard.dispatch` runs one round's chunk (see
+:mod:`repro.runtime.runtime` for the schedule) **extension-major**: each
+extension the shard still serves runs over the whole chunk, in attach
+order, before the next one starts.  Invocations are not independent —
+a KV extension's stores persist in the shard's state area, which its
+neighbours read — so this order is part of the semantics, and every
+path follows it: the compiled batch runner
+(:mod:`repro.alpha.batch`) or the engine's generic
+:meth:`~repro.alpha.engine.ExecutionEngine.run_batch` on the throughput
+path, paying the per-packet Python dispatch toll once per segment, and
+the per-frame loop (``_dispatch_frames``) for the checked tier, canary
+shadowing and verdict collection.  A chunk's work is a pure function of
+its frames and this shard's state: its memory, its clock and its own
+counters (fault runs included).
 """
 
 from __future__ import annotations
@@ -107,50 +109,56 @@ class Shard:
 
     def dispatch(self, frames, extensions, policy,
                  collect: bool = False) -> list[dict] | None:
-        """Run ``frames`` through every active extension.
+        """Run one chunk of ``frames`` through every extension this shard
+        still serves, extension-major.
 
         Returns per-frame ``{extension name: verdict}`` dicts when
-        ``collect`` (verdict ``None`` means the invocation faulted;
-        quarantined extensions are absent), else ``None`` — the
-        benchmark path keeps only counters.
+        ``collect`` (verdict ``None`` means the invocation faulted; an
+        extension this shard no longer serves is absent), else ``None``
+        — the benchmark path keeps only counters.
         """
-        if collect:
-            records = self._dispatch_frames(frames, extensions, policy,
-                                            True)
-            self.packets += len(records)
-            return records
-        if not isinstance(frames, (list, tuple)):
-            frames = list(frames)
-        batch_size = self.config.batch_size
-        for start in range(0, len(frames), batch_size):
-            chunk = frames[start:start + batch_size]
-            for extension in extensions:
-                if not extension.active:
-                    continue
-                if extension.checked or extension.canary is not None:
-                    # The checked tier rebinds rd()/wr() predicates per
-                    # packet and canaries shadow per packet: both stay
-                    # on the frame-major reference loop.
-                    self._dispatch_frames(chunk, (extension,), policy,
-                                          False)
-                else:
-                    self._dispatch_batch(chunk, extension)
-        self.packets += len(frames)
-        return None
-
-    def _dispatch_batch(self, frames, extension) -> None:
-        """Extension-major fast path: one engine entry per segment,
-        resuming after each fault exactly where the per-frame loop
-        would — same counters, same quarantine transitions."""
-        shard_index = self.index
-        counters = extension.shard_counters[shard_index]
+        records = [{} for __ in frames] if collect else None
         threshold = self.config.fault_threshold
+        for extension in extensions:
+            counters = extension.shard_counters[self.index]
+            counters.last_fault = None
+            if not extension.active or counters.stopped(threshold):
+                continue
+            if collect or extension.checked or extension.canary is not None:
+                # The checked tier rebinds rd()/wr() predicates per
+                # packet and canaries shadow per packet: both stay on
+                # the frame-major reference loop.
+                self._dispatch_frames(frames, extension, counters, policy,
+                                      records)
+            else:
+                self._dispatch_batch(frames, extension, counters)
+        self.packets += len(frames)
+        return records
+
+    def _fault(self, counters, error: MachineError) -> bool:
+        """Count one fault on this shard; True once the shard's run
+        reaches the fault threshold and it stops invoking the
+        extension."""
+        counters.faults += 1
+        if isinstance(error, BudgetExceeded):
+            # The overrun consumed modeled time up to the point the
+            # budget tripped; other faults are instantaneous aborts.
+            counters.cycles += error.cycles
+            self.cycles += error.cycles
+        counters.fault_run += 1
+        counters.last_fault = fault_reason(error)
+        return counters.stopped(self.config.fault_threshold)
+
+    def _dispatch_batch(self, frames, extension, counters) -> None:
+        """The fast path: one engine entry per segment, resuming after
+        each fault exactly where the per-frame loop would — same
+        counters, same fault runs."""
         budget = extension.cycle_budget
         runner = extension.batch_runner
         engine = extension.engine
         total = len(frames)
         start = 0
-        while start < total and extension.active:
+        while start < total:
             if runner is not None:
                 done, accepted, pairs, error = runner.run(
                     frames, start, budget)
@@ -170,67 +178,43 @@ class Shard:
                         segment_cycles += value * count
                 counters.cycles += segment_cycles
                 self.cycles += segment_cycles
-                if extension.consecutive_faults:
-                    extension.record_success()
+                counters.fault_run = 0
             if error is None:
                 return
             counters.packets_in += 1
-            counters.faults += 1
-            if isinstance(error, BudgetExceeded):
-                # The overrun consumed modeled time up to the point the
-                # budget tripped; other faults are instantaneous aborts.
-                counters.cycles += error.cycles
-                self.cycles += error.cycles
-            extension.record_fault(fault_reason(error), threshold)
+            if self._fault(counters, error):
+                return
             start = done + 1
 
-    def _dispatch_frames(self, frames, extensions, policy,
-                         collect: bool) -> list[dict] | None:
-        """The frame-major reference loop: checked tier, canary
-        shadowing, and verdict collection."""
-        threshold = self.config.fault_threshold
-        shard_index = self.index
-        records = [] if collect else None
-        for frame in frames:
-            verdicts = {} if collect else None
-            for extension in extensions:
-                if not extension.active:
-                    continue
-                counters = extension.shard_counters[shard_index]
-                counters.packets_in += 1
-                try:
-                    result = self.invoke(extension, frame, policy)
-                except MachineError as error:
-                    counters.faults += 1
-                    if isinstance(error, BudgetExceeded):
-                        # The overrun consumed modeled time up to the
-                        # point the budget tripped; other faults are
-                        # modeled as instantaneous aborts.
-                        counters.cycles += error.cycles
-                        self.cycles += error.cycles
-                    extension.record_fault(fault_reason(error), threshold)
-                    canary = extension.canary
-                    if canary is not None:
-                        canary.consider(self, frame, None, policy)
-                    if collect:
-                        verdicts[extension.name] = None
-                    continue
+    def _dispatch_frames(self, frames, extension, counters, policy,
+                         records) -> None:
+        """The frame-major reference loop for one extension: checked
+        tier, canary shadowing, and verdict collection into
+        ``records`` (one dict per frame, or None)."""
+        name = extension.name
+        hist = counters.cycle_hist
+        for slot, frame in enumerate(frames):
+            counters.packets_in += 1
+            try:
+                result = self.invoke(extension, frame, policy)
+            except MachineError as error:
+                stopped = self._fault(counters, error)
+                verdict = None
+            else:
                 cycles = result.cycles
                 counters.cycles += cycles
-                hist = counters.cycle_hist
                 hist[cycles] = hist.get(cycles, 0) + 1
                 self.cycles += cycles
                 verdict = bool(result.value)
                 counters.accepted += verdict
-                if extension.consecutive_faults:
-                    extension.record_success()
-                canary = extension.canary
-                if canary is not None:
-                    # Shadow dispatch: rebinds the memory for its own
-                    # invocation, so the live stream is untouched.
-                    canary.consider(self, frame, verdict, policy)
-                if collect:
-                    verdicts[extension.name] = verdict
-            if collect:
-                records.append(verdicts)
-        return records
+                counters.fault_run = 0
+                stopped = False
+            canary = extension.canary
+            if canary is not None:
+                # Shadow dispatch: rebinds the memory for its own
+                # invocation, so the live stream is untouched.
+                canary.consider(self, frame, verdict, policy)
+            if records is not None:
+                records[slot][name] = verdict
+            if stopped:
+                return

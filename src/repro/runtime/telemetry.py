@@ -127,9 +127,6 @@ class RuntimeSnapshot:
     canary_cycles: tuple[int, ...] = ()
     #: Decided upgrades, oldest first (UpgradeRecord.to_dict() payloads).
     upgrades: tuple = ()
-    #: The last supervised-serve report (SupervisorReport.to_dict()),
-    #: or None if this runtime never served under the supervisor.
-    supervisor: dict | None = None
 
     @property
     def modeled_seconds(self) -> float:
@@ -162,7 +159,6 @@ class RuntimeSnapshot:
             "extensions": [ext.to_dict() for ext in self.extensions],
             "canary_cycles": list(self.canary_cycles),
             "upgrades": list(self.upgrades),
-            "supervisor": self.supervisor,
             **self.extra,
         }
 

@@ -125,14 +125,14 @@ class UpgradeRecord:
 class ShadowCanary:
     """One in-flight upgrade: the candidate version running in shadow.
 
-    Thread-safety: under :meth:`~repro.runtime.PacketRuntime
-    .serve_supervised`, :meth:`consider` is called from shard worker
-    threads.
-    Sampling RNGs are per shard (each touched only by its own worker);
-    the clean/divergence ledger and the state transition sit behind one
-    lock, and the decision (promote or roll back) fires exactly once, in
-    whichever worker observed the deciding packet.  The runtime-supplied
-    ``decide`` callback runs *outside* the canary lock.
+    Thread-safety: :meth:`consider` runs in the dispatching thread (the
+    process backend falls back to serial dispatch while a canary is in
+    flight), while an operator override (:meth:`force`) may arrive from
+    another thread.  Sampling RNGs are per shard; the clean/divergence
+    ledger and the state transition sit behind one lock, and the
+    decision (promote or roll back) fires exactly once, in whichever
+    call observed the deciding packet.  The runtime-supplied ``decide``
+    callback runs *outside* the canary lock.
     """
 
     def __init__(self, name: str, live, candidate, config: CanaryConfig,

@@ -13,6 +13,8 @@ import pytest
 
 from repro.alpha.encoding import encode_program
 from repro.alpha.parser import parse_program
+from repro.filters.kv import KV_PROGRAMS, kv_packet_policy
+from repro.pcc import certify
 from repro.pcc.container import PccBinary
 
 #: Stores r2 (the frame length) through r1 (the frame base).  The frame
@@ -45,3 +47,17 @@ def filter_blobs(certified_filters) -> dict[str, bytes]:
     return {name: certified.binary.to_bytes()
             for name, certified in certified_filters.items()
             if name.startswith("filter")}
+
+
+@pytest.fixture(scope="session")
+def kv_policy():
+    return kv_packet_policy()
+
+
+@pytest.fixture(scope="session")
+def kv_blobs(kv_policy) -> dict[str, bytes]:
+    """The four store-bearing KV programs as wire-format PCC binaries."""
+    return {spec.name: certify(spec.source, kv_policy,
+                               invariants=spec.invariants()
+                               ).binary.to_bytes()
+            for spec in KV_PROGRAMS}

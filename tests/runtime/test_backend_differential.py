@@ -3,12 +3,14 @@ change semantics.
 
 Three layers of the same claim, each checked property-based:
 
-* **backends** — serial :meth:`PacketRuntime.dispatch` and the forked
-  process backend must produce bit-identical snapshots (verdicts,
-  counters, cycle clocks, histograms/percentiles, fault ledgers,
-  quarantine transitions) on the same frames, including traces that
-  inject faults (budget overruns, checked-tier violations), and the
-  process backend's fallbacks must be serial dispatch;
+* **backends** — serial :meth:`PacketRuntime.dispatch`, with and
+  without ``collect``, and the forked process backend must produce
+  bit-identical snapshots (verdicts, counters, cycle clocks,
+  histograms/percentiles, fault runs, quarantine transitions) and shard
+  memories on the same frames, at any shard count and round length,
+  including traces that inject faults (budget overruns, checked-tier
+  violations) and store-bearing extensions that share a shard's state,
+  and the process backend's fallbacks must be serial dispatch;
 * **batch vs per-frame** — :meth:`ExecutionEngine.run_batch` must equal
   the per-frame ``run`` dispatch protocol on *arbitrary*
   machine programs (loops, wild loads, stores, step limits), not just
@@ -17,12 +19,6 @@ Three layers of the same claim, each checked property-based:
   drivers must equal the generic ``run_batch`` on random certifiable
   filter shapes and on the paper filters, across frame degeneracies
   (empty, unaligned, sub-contract lengths) and budgets.
-
-Multi-shard runs with faults in flight are only *end-state* comparable:
-serial dispatch runs the shards' slices one after another while forked
-workers run them at once and learn of a remote quarantine between
-chunks, so the instant of the flip differs; those tests pin the
-converged state, while strict bit-identity tests pin ``shards=1``.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from repro.alpha.batch import FramePlan, compile_batch
 from repro.alpha.engine import ExecutionEngine
 from repro.alpha.parser import parse_program
 from repro.errors import BudgetExceeded, MachineError
+from repro.filters.kv import kv_registers, reusable_kv_memory
 from repro.filters.policy import (
     PACKET_BASE,
     SCRATCH_BASE,
@@ -46,7 +43,12 @@ from repro.filters.policy import (
     reusable_packet_memory,
 )
 from repro.filters.programs import FILTER1
-from repro.filters.trace import TraceConfig, generate_trace
+from repro.filters.trace import (
+    KvTraceConfig,
+    TraceConfig,
+    generate_kv_trace,
+    generate_trace,
+)
 from repro.pcc import certify
 from repro.perf.cost import ALPHA_175
 from repro.runtime import CanaryConfig, PacketRuntime, RuntimeConfig
@@ -167,29 +169,110 @@ def test_backends_bit_identical_on_checked_tier_faults(
 @given(seed=st.integers(0, 2**32 - 1), shards=st.integers(2, 4))
 def test_multishard_quarantine_converges_identically(
         filter_policy, filter_blobs, rogue_blob, seed, shards):
-    """Multi-shard with a faulting extension: the *moment* of the flip is
-    scheduling-dependent, but the converged end state — quarantined
-    rogue, exactly one transition, untouched healthy-filter verdicts —
-    must agree across backends."""
+    """Multi-shard with a faulting extension: bit-identical snapshots
+    across backends — quarantined rogue, exactly one transition,
+    untouched healthy-filter verdicts."""
     blobs = {"filter2": filter_blobs["filter2"], "rogue": rogue_blob}
     frames = generate_trace(TraceConfig(packets=60, seed=seed))
-    states = {}
+    fingerprints = {}
     for backend in ("serial", "process"):
         snapshot = _serve_on(backend, filter_policy, blobs, frames,
                              shards=shards, fault_threshold=2,
                              downgrade_unproven=True)
-        rogue = next(ext for ext in snapshot.extensions
-                     if ext.name == "rogue")
-        healthy = next(ext for ext in snapshot.extensions
-                       if ext.name == "filter2")
+        healthy, rogue = snapshot.extensions
         assert rogue.state == "quarantined"
         assert rogue.quarantines == 1
         # Isolation is exact: the healthy filter saw every frame.
         assert healthy.packets_in == len(frames)
         assert healthy.faults == 0
-        states[backend] = (healthy.accepted, healthy.cycles,
-                           snapshot.contract_drops)
-    assert states["serial"] == states["process"]
+        fingerprints[backend] = _fingerprint(snapshot)
+    assert fingerprints["serial"] == fingerprints["process"]
+
+
+#: filter4 overruns a 15-cycle budget on some of these frames.
+FAULT_POOL = generate_trace(TraceConfig(packets=200, seed=3))
+
+
+@settings(max_examples=8, deadline=None)
+@given(shards=st.integers(2, 3), threshold=st.integers(1, 4),
+       batch_size=st.integers(1, 3),
+       bursts=st.lists(st.lists(st.sampled_from(FAULT_POOL), min_size=1,
+                                max_size=6), min_size=3, max_size=3))
+def test_quarantine_mid_serve_is_schedule_determined(
+        filter_policy, filter_blobs, shards, threshold, batch_size,
+        bursts):
+    """Budget faults and quarantines over multi-round serves:
+    ``dispatch(collect=True)``, ``dispatch()`` and two process-backend
+    runs all end in equal snapshots."""
+    def final(backend, collect=False):
+        runtime = PacketRuntime(filter_policy, RuntimeConfig(
+            shards=shards, backend=backend, cycle_budget=15,
+            fault_threshold=threshold, batch_size=batch_size))
+        runtime.attach("filter4", filter_blobs["filter4"])
+        for burst in bursts:
+            if backend == "serial":
+                runtime.dispatch(burst, collect=collect)
+            else:
+                runtime.serve(burst)
+        return runtime.snapshot()
+
+    reference = final("serial")
+    assert final("serial", collect=True) == reference
+    assert final("process") == reference
+    assert final("process") == reference
+
+
+def _kv_runtime(policy, blobs, backend, shards, batch_size=8192):
+    runtime = PacketRuntime(policy, RuntimeConfig(
+        shards=shards, backend=backend, cycle_budget="auto",
+        batch_size=batch_size, memory_factory=reusable_kv_memory,
+        registers_fn=kv_registers))
+    for name, blob in blobs.items():
+        runtime.attach(name, blob)
+    return runtime
+
+
+def _states(runtime):
+    return [bytes(shard.memory.region("state"))
+            for shard in runtime.shards]
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_kv_state_on_every_shard_matches_serial(kv_policy, kv_blobs,
+                                                shards):
+    """The KV family over three serves of a multi-round trace: the
+    process backend leaves full snapshots and every shard's state
+    region equal to serial dispatch's after every serve."""
+    blobs = {name: kv_blobs[name] for name in ("kv-insert", "nat-rewrite")}
+    frames = generate_kv_trace(KvTraceConfig(packets=1500, seed=5))
+    served = _kv_runtime(kv_policy, blobs, "process", shards,
+                         batch_size=128)
+    dispatched = _kv_runtime(kv_policy, blobs, "serial", shards,
+                             batch_size=128)
+    for start in range(0, len(frames), 500):
+        served.serve(frames[start:start + 500])
+        dispatched.dispatch(frames[start:start + 500])
+        assert served.snapshot() == dispatched.snapshot()
+        assert _states(served) == _states(dispatched)
+    assert any(_states(served)[index] != bytes(len(_states(served)[0]))
+               for index in range(1, shards))
+
+
+def test_collect_runs_the_dispatch_order(kv_policy, kv_blobs):
+    """All four KV programs share one shard's state area, so the order
+    in which they see the frames is semantics: collecting verdicts runs
+    the same extension-major computation as ``dispatch()``."""
+    frames = generate_kv_trace(KvTraceConfig(packets=1000, seed=5))
+    runtimes = [_kv_runtime(kv_policy, kv_blobs, "serial", 1)
+                for __ in range(2)]
+    report = runtimes[0].dispatch(frames, collect=True)
+    runtimes[1].dispatch(frames)
+    assert runtimes[0].snapshot() == runtimes[1].snapshot()
+    assert _states(runtimes[0]) == _states(runtimes[1])
+    accepted = {name: sum(bool(record[name]) for record in report.records)
+                for name in kv_blobs}
+    assert accepted == {ext.name: ext.accepted
+                        for ext in runtimes[1].snapshot().extensions}
 
 
 @pytest.mark.parametrize("backend", ["fork", "Serial", ""])

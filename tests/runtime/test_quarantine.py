@@ -68,16 +68,19 @@ def test_faulting_extension_is_isolated(filter_policy, filter_blobs,
 
 def test_quarantine_is_runtime_wide_across_shards(filter_policy, rogue_blob,
                                                   small_trace):
-    """Consecutive-fault accounting is global: with 4 shards each seeing
-    the rogue once, the threshold still trips after THRESHOLD total
-    dispatches, not THRESHOLD per shard."""
+    """Fault runs are per shard, quarantine is runtime-wide: with 4
+    shards each serving the rogue 10 frames in one round, each shard
+    stops at its own third fault, and the round's boundary quarantines
+    the rogue once."""
     runtime = PacketRuntime(filter_policy,
                             _downgrading_config(shards=4))
     runtime.attach("rogue", rogue_blob)
     runtime.dispatch(small_trace[:40])
     snapshot = runtime.extension("rogue").snapshot()
-    assert snapshot.packets_in == THRESHOLD
-    assert snapshot.faults == THRESHOLD
+    assert snapshot.packets_in == 4 * THRESHOLD
+    assert snapshot.faults == 4 * THRESHOLD
+    assert snapshot.state == "quarantined"
+    assert snapshot.quarantines == 1
 
 
 def test_budget_overrun_quarantines_certified_code(filter_policy,

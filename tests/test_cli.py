@@ -174,13 +174,26 @@ class TestCli:
                   "--budget", "fast"])
 
     @pytest.mark.parametrize("command", [
-        ["filter", "filter1"], ["serve", "--builtin-filters"],
-        ["chaos", "--quick"], ["upgrade", "live.pcc", "candidate.pcc"]])
+        ["filter", "filter1", "--packets"],
+        ["serve", "--builtin-filters", "--packets"],
+        ["chaos", "--quick", "--packets"],
+        ["upgrade", "live.pcc", "candidate.pcc", "--packets"],
+        ["serve", "--builtin-filters", "--shards"],
+        ["serve", "--builtin-filters", "--batch-size"],
+        ["serve", "--builtin-filters", "--fault-threshold"],
+        ["serve", "--builtin-filters", "--repeat"],
+        ["upgrade", "live.pcc", "candidate.pcc", "--shards"],
+        ["upgrade", "live.pcc", "candidate.pcc", "--promote-after"],
+        ["chaos", "--quick", "--shards"],
+        ["chaos", "--quick", "--mutation-rounds"],
+        ["batch", "a.pcc", "--repeat"],
+        ["batch", "a.pcc", "--cache-capacity"]])
     @pytest.mark.parametrize("packets", ["0", "-5"])
     def test_packets_must_be_positive(self, command, packets, capsys):
-        """A usage error before any work, not a traceback."""
+        """Every count option: a usage error before any work, not a
+        traceback or a wrong answer."""
         with pytest.raises(SystemExit) as exit_info:
-            main([*command, "--packets", packets])
+            main([*command, packets])
         assert exit_info.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
