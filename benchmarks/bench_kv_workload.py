@@ -5,15 +5,17 @@ The paper's Figure 8 measures read-only filters; this benchmark is the
 same story for the store-bearing KV/NAT/LB family — certification is a
 one-time cost (proof sizes and times per program), validation admits
 each program onto the unbudgeted fast tier with an ``auto`` WCET
-budget, and dispatch then runs at native engine speed with *zero*
+budget and a compiled batch runner, and dispatch then runs with *zero*
 run-time safety checks despite every program writing packet and
 persistent-state memory on the hot path.
 
 Two traces drive it: the Zipf key-popularity steady-state workload
 (throughput rows) and the adversarial mix (a correctness gate — the
 runtime's verdicts, rewrites, and final per-shard state must be
-bit-identical to the pure-Python oracles; out-of-contract frames must
-be shed at the boundary, never reach a certified program).
+bit-identical to the pure-Python oracles, on the per-frame loop that
+``dispatch(collect=True)`` runs and on the compiled batch path that
+plain ``dispatch()`` runs; out-of-contract frames must be shed at the
+boundary, never reach a certified program).
 
 Scale comes from the shared ``--packets`` / ``PCC_BENCH_PACKETS``
 quick mode.  Results land in ``results/kv_workload.txt`` and
@@ -63,7 +65,7 @@ def test_kv_workload(benchmark, kv_policy, kv_trace, adversarial_trace,
             # Steady state: the Zipf trace through a one-shard runtime.
             runtime = _kv_runtime(kv_policy)
             extension = runtime.attach(spec.name, blob)
-            assert extension.batch_runner is None  # generic-engine path
+            assert extension.batch_runner is not None  # compiled path
             report = runtime.serve(kv_trace)
             snapshot = runtime.snapshot()
             ext = snapshot.extensions[0]
@@ -86,6 +88,16 @@ def test_kv_workload(benchmark, kv_policy, kv_trace, adversarial_trace,
             assert state_identical, spec.name
             assert hostile_report.contract_drops \
                 == len(adversarial_trace) - len(kept)
+
+            # The same gate on the compiled batch path: accept count
+            # and final state bytes.
+            batched = _kv_runtime(kv_policy)
+            batched.attach(spec.name, blob)
+            batched.dispatch(adversarial_trace)
+            assert batched.snapshot().extensions[0].accepted \
+                == sum(1 for verdict in verdicts if verdict), spec.name
+            assert bytes(batched.shards[0].memory.region("state")) \
+                == want_state, spec.name
 
             wcet = estimate_wcet(extension.program, context)
             rows.append({

@@ -88,6 +88,15 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    """A count option where 0 has a meaning of its own (``--jobs 0``:
+    in-process) accepts a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.pcc import certify
 
@@ -532,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
         "batch", help="load many binaries through the caching loader")
     p_batch.add_argument("binaries", nargs="+")
     p_batch.add_argument("--policy", default="packet-filter")
-    p_batch.add_argument("--jobs", type=int, default=None,
+    p_batch.add_argument("--jobs", type=_non_negative_int, default=None,
                          help="worker processes (0 = in-process)")
     p_batch.add_argument("--repeat", type=_positive_int, default=1,
                          help="re-submit the batch N times (warm loads "

@@ -100,10 +100,14 @@ class RuntimeExtension:
         self.engine: ExecutionEngine | None = None
         self.shard_engines: list[ExecutionEngine] | None = None
         #: The specialized whole-batch driver from
-        #: :func:`repro.alpha.batch.compile_batch`, or None when the
-        #: program (or the runtime's invocation contract) falls outside
-        #: the fast path — dispatch then batches through the generic
-        #: :meth:`ExecutionEngine.run_batch` instead.
+        #: :func:`repro.alpha.batch.compile_batch` — read-only filters
+        #: and store-bearing, looping KV programs alike — or None when
+        #: the program (no WCET bound, tree caps) or the runtime's
+        #: invocation contract falls outside the fast path; dispatch
+        #: then batches through the generic
+        #: :meth:`ExecutionEngine.run_batch` instead.  One runner serves
+        #: every shard: it works on the region buffers of the memory
+        #: each call hands it.
         self.batch_runner = None
         # Per-extension invocation budget, resolved at admission: a
         # fixed config value, a WCET-derived bound (cycle_budget="auto"),

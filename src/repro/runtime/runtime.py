@@ -76,6 +76,12 @@ from repro.errors import (
     UnknownExtensionError,
     ValidationError,
 )
+from repro.filters.kv import (
+    KV_STATE_BASE,
+    STATE_SIZE,
+    kv_registers,
+    reusable_kv_memory,
+)
 from repro.filters.policy import (
     PACKET_BASE,
     SCRATCH_BASE,
@@ -92,6 +98,17 @@ from repro.runtime.shard import Shard
 from repro.runtime.telemetry import RuntimeSnapshot
 from repro.runtime.versions import CanaryConfig, ShadowCanary, UpgradeRecord
 from repro.vcgen.policy import SafetyPolicy
+
+
+#: The frame plan of each standard invocation contract, keyed by its
+#: ``(memory_factory, registers_fn)`` pair: batch compilation
+#: specializes against exactly these (see :class:`FramePlan`).
+_FRAME_PLANS = {
+    (reusable_packet_memory, filter_registers):
+        FramePlan(PACKET_BASE, SCRATCH_BASE, SCRATCH_SIZE),
+    (reusable_kv_memory, kv_registers):
+        FramePlan(PACKET_BASE, KV_STATE_BASE, STATE_SIZE, persistent=True),
+}
 
 
 def rounds(frames: int, shards: int, batch_size: int) -> list[list[slice]]:
@@ -180,16 +197,13 @@ class PacketRuntime:
         self._lock = threading.Lock()
         self.contract_drops = 0
         self.upgrade_log: list[UpgradeRecord] = []
-        # Batch compilation specializes against the *standard* packet-
-        # filter invocation contract; a runtime configured with custom
-        # memory/register callables gets no frame plan and every
-        # extension batches through the generic engine loop instead.
-        if (self.config.memory_factory is reusable_packet_memory
-                and self.config.registers_fn is filter_registers):
-            self._frame_plan = FramePlan(PACKET_BASE, SCRATCH_BASE,
-                                         SCRATCH_SIZE)
-        else:
-            self._frame_plan = None
+        # Batch compilation specializes against a *standard* invocation
+        # contract — the packet filters' or the KV family's; a runtime
+        # configured with other memory/register callables gets no frame
+        # plan and every extension batches through the generic engine
+        # loop instead.
+        self._frame_plan = _FRAME_PLANS.get(
+            (self.config.memory_factory, self.config.registers_fn))
 
     # -- admission (the only way in is through the loader) ---------------
 
@@ -238,7 +252,7 @@ class PacketRuntime:
 
     def _batch_runner_for(self, program):
         """The specialized whole-batch driver for an unchecked program,
-        or None when the program (loops, stores, size) or this runtime's
+        or None when the program (no WCET bound, size) or this runtime's
         invocation contract falls outside the fast path."""
         if self._frame_plan is None:
             return None

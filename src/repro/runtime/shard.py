@@ -161,7 +161,7 @@ class Shard:
         while start < total:
             if runner is not None:
                 done, accepted, pairs, error = runner.run(
-                    frames, start, budget)
+                    frames, start, budget, memory=self.memory)
             else:
                 done, accepted, pairs, error = engine.run_batch(
                     self.memory, self.rebind, frames,

@@ -6,6 +6,9 @@ Two flavours:
   packet filters whose memory accesses stay inside the policy's
   guaranteed window — these usually certify, so the certification and
   safety-theorem suites use them (``tests/pcc/test_random_programs.py``).
+  :func:`random_kv_source` and :func:`random_kv_loop_source` are the
+  store-bearing counterparts under the KV policy, the latter with a
+  bounded table scan.
 * :func:`random_machine_program` emits raw instruction tuples with no
   safety discipline at all: unsafe displacements, unaligned addresses,
   backward branches (loops), and out-of-range branch targets.  These
@@ -99,6 +102,62 @@ def random_kv_source(rng: random.Random, blocks: int) -> str:
                          f"{rng.choice(_STATE_OFFSETS)}(r3)")
             lines.append(f"{label}: SUBQ r0, r0, r0")
     lines.append("CMPEQ r4, r5, r0")
+    lines.append("RET")
+    return "\n".join(lines)
+
+
+def random_kv_loop_source(rng: random.Random, body: int = 4) -> str:
+    """A random *looping* store-bearing program under the KV policy: a
+    bounded scan of the state area (``r4`` steps by 8 — sometimes by 16,
+    or by an unaligned 12 that faults on the second pass — up to a
+    random bound at most 160) whose body loads the scanned slot, then
+    stores and reloads it, loads and stores fixed state words and fixed
+    packet words (below the guaranteed 64-byte minimum), scrambles and
+    counts, compares the scan offset against a literal, with forward
+    branches inside the body and an early exit to a tail that stores
+    before returning."""
+    bound = rng.choice((8, 32, 64, 128, 152, 160))
+    step = rng.choice((8, 8, 8, 16, 12))
+    lines = ["SUBQ r0, r0, r0", "SUBQ r4, r4, r4", "BR check",
+             "loop: ADDQ r3, r4, r5", "LDQ r6, 0(r5)"]
+    for index in range(body):
+        reg = rng.randrange(6, 9)
+        choice = rng.randrange(9)
+        if choice == 0:
+            lines.append(f"STQ r{reg}, 0(r5)")
+        elif choice == 7:
+            lines.append(f"LDQ r{reg}, 0(r5)")
+        elif choice == 8:
+            lines.append(f"CMP{rng.choice(('ULT', 'ULE', 'EQ'))} r4, "
+                         f"{rng.randrange(0, 168, 4)}, r{reg}")
+            lines.append(f"BNE r{reg}, skip{index}")
+            lines.append(f"STQ r4, {rng.choice(_STATE_OFFSETS)}(r3)")
+            lines.append(f"skip{index}: ADDQ r4, 0, r{reg}")
+        elif choice == 1:
+            lines.append(f"LDQ r{reg}, {rng.choice(_STATE_OFFSETS)}(r3)")
+        elif choice == 2:
+            lines.append(f"STQ r{reg}, {rng.choice(_STATE_OFFSETS)}(r3)")
+        elif choice == 3:
+            lines.append(f"LDQ r{reg}, {rng.choice(_SAFE_OFFSETS)}(r1)")
+        elif choice == 4:
+            lines.append(f"STQ r{reg}, {rng.choice(_SAFE_OFFSETS)}(r1)")
+        elif choice == 5:
+            lines.append(f"ADDQ r{reg}, {rng.randrange(256)}, r{reg}")
+            lines.append("ADDQ r0, 1, r0")
+        else:
+            lines.append(f"BEQ r{reg}, skip{index}")
+            lines.append(f"STQ r6, {rng.choice(_STATE_OFFSETS)}(r3)")
+            lines.append(f"skip{index}: EXTBL r6, {rng.randrange(8)}, "
+                         f"r{reg}")
+    lines.append(f"CMPEQ r{rng.randrange(6, 9)}, {rng.randrange(4)}, r9")
+    lines.append("BNE r9, found")
+    lines.append(f"ADDQ r4, {step}, r4")
+    lines.append(f"check: CMPULT r4, {bound}, r10")
+    lines.append("BNE r10, loop")
+    lines.append("RET")
+    lines.append(f"found: STQ r4, {rng.choice(_STATE_OFFSETS)}(r3)")
+    lines.append(f"STQ r0, {rng.choice(_SAFE_OFFSETS)}(r1)")
+    lines.append("LDA r0, 1(r4)")
     lines.append("RET")
     return "\n".join(lines)
 

@@ -18,7 +18,10 @@ Three layers of the same claim, each checked property-based:
 * **compiled vs generic** — :func:`repro.alpha.batch.compile_batch`
   drivers must equal the generic ``run_batch`` on random certifiable
   filter shapes and on the paper filters, across frame degeneracies
-  (empty, unaligned, sub-contract lengths) and budgets.
+  (empty, unaligned, sub-contract lengths) and budgets; and, on the
+  write path, on the KV family, random store-bearing and looping KV
+  programs and raw random programs under both invocation contracts —
+  outcome and region bytes after every segment.
 """
 
 from __future__ import annotations
@@ -34,7 +37,13 @@ from repro.alpha.batch import FramePlan, compile_batch
 from repro.alpha.engine import ExecutionEngine
 from repro.alpha.parser import parse_program
 from repro.errors import BudgetExceeded, MachineError
-from repro.filters.kv import kv_registers, reusable_kv_memory
+from repro.filters.kv import (
+    KV_PROGRAMS,
+    KV_STATE_BASE,
+    STATE_SIZE,
+    kv_registers,
+    reusable_kv_memory,
+)
 from repro.filters.policy import (
     PACKET_BASE,
     SCRATCH_BASE,
@@ -53,9 +62,15 @@ from repro.pcc import certify
 from repro.perf.cost import ALPHA_175
 from repro.runtime import CanaryConfig, PacketRuntime, RuntimeConfig
 
-from tests.generators import random_filter_source, random_machine_program
+from tests.generators import (
+    random_filter_source,
+    random_kv_loop_source,
+    random_kv_source,
+    random_machine_program,
+)
 
 PLAN = FramePlan(PACKET_BASE, SCRATCH_BASE, SCRATCH_SIZE)
+KV_PLAN = FramePlan(PACKET_BASE, KV_STATE_BASE, STATE_SIZE, persistent=True)
 
 #: Frames that poke every edge of the driver's load guards: empty,
 #: single byte, one-short-of-aligned, exactly one word, unaligned tail,
@@ -426,3 +441,206 @@ def test_paper_filters_compiled_vs_generic(certified_filters, budget):
             if error is None:
                 break
             start = done + 1
+
+
+# -- compiled vs generic: the write path ---------------------------------
+
+#: KV contract frames: a Zipf burst (which fills the table) plus every
+#: degenerate length.
+KV_FRAMES = (generate_kv_trace(KvTraceConfig(packets=160, hosts=24,
+                                             seed=11))
+             + DEGENERATE_FRAMES
+             + generate_kv_trace(KvTraceConfig(packets=40, seed=12)))
+
+#: Each contract: its plan, reusable memory and entry registers.
+CONTRACTS = {
+    "filter": (PLAN, reusable_packet_memory, filter_registers),
+    "kv": (KV_PLAN, reusable_kv_memory, kv_registers),
+}
+
+
+def _compiled_vs_generic(program, contract, frames, start, budget,
+                         state=b"", max_steps=1_000_000):
+    """Walk ``frames`` segment by segment from ``start`` exactly as
+    ``Shard._dispatch_batch`` does — the compiled runner on one memory,
+    ``run_batch`` on another, both starting from r3's region holding
+    ``state`` (when persistent) — and require equal normalized outcomes
+    and equal region bytes after every segment.  ``budget`` may name a
+    fraction of the runner's WCET bound instead of a cycle count."""
+    plan, factory, registers_fn = CONTRACTS[contract]
+    region = plan.region
+    runner = compile_batch(program, ALPHA_175, plan, max_steps)
+    assert runner is not None, "bounded program must batch-compile"
+    engine = ExecutionEngine(program, ALPHA_175, max_steps)
+    if isinstance(budget, float):
+        budget = max(1, int(runner.max_path_cycles * budget))
+    compiled, __ = factory()
+    generic, rebind = factory()
+    if plan.persistent and state:
+        compiled.region(region)[:] = generic.region(region)[:] = state
+    segments = 0
+    while start < len(frames):
+        got = runner.run(frames, start, budget, memory=compiled)
+        want = engine.run_batch(generic, rebind, frames, registers_fn,
+                                start, budget)
+        assert _normalize(got) == _normalize(want), (start, budget)
+        assert compiled.region(region) == generic.region(region), start
+        if runner.uses_memory:
+            assert compiled.region("packet") == generic.region("packet")
+        segments += 1
+        done, _, _, error = got
+        if error is None:
+            break
+        start = done + 1
+    return segments
+
+
+#: Budgets: none, small (faults at the first blocks), mid-loop (a
+#: fraction of the WCET bound) and exactly the WCET bound (the plain
+#: driver).
+KV_BUDGETS = [None, 9, 0.5, 1.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), looping=st.booleans(),
+       start=st.integers(0, 2), budget=st.sampled_from(KV_BUDGETS))
+def test_kv_compiled_runner_matches_generic_batch(seed, looping, start,
+                                                  budget):
+    """Random store-bearing KV programs — bounded state scans whose
+    body loads and stores the state and the packet, and loop-free
+    ones — compiled vs ``run_batch`` over a rebound
+    ``reusable_kv_memory`` that starts from random state bytes."""
+    rng = random.Random(seed)
+    source = (random_kv_loop_source(rng, rng.randrange(1, 6)) if looping
+              else random_kv_source(rng, rng.randrange(1, 7)))
+    state = bytes(rng.randrange(256) for __ in range(STATE_SIZE))
+    _compiled_vs_generic(parse_program(source), "kv", KV_FRAMES, start,
+                         budget, state)
+
+
+@pytest.mark.parametrize("budget", KV_BUDGETS + [40, 0.9])
+@pytest.mark.parametrize("spec", KV_PROGRAMS, ids=lambda spec: spec.name)
+def test_kv_programs_compiled_vs_generic(spec, budget):
+    """The four KV programs round-trip through the compiled drivers
+    bit-identically at every budget and start, over contract and
+    degenerate frames, including mid-loop budget faults and
+    resume-after-fault."""
+    for start in (0, 1, 2):
+        _compiled_vs_generic(spec.program, "kv", KV_FRAMES, start, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(3, 14),
+       contract=st.sampled_from(sorted(CONTRACTS)),
+       start=st.integers(0, 2),
+       budget=st.sampled_from([None, 9, 30, 0.5, 1.0]))
+def test_compiled_runner_matches_generic_on_wild_programs(
+        seed, length, contract, start, budget):
+    """Raw random programs — stores, loops, wild and unaligned
+    addresses, writes to a read-only packet, branches out of the
+    program — wherever they batch-compile, under either contract."""
+    rng = random.Random(seed)
+    program = random_machine_program(rng, length)
+    plan = CONTRACTS[contract][0]
+    if compile_batch(program, None, plan, max_steps=400) is None:
+        return
+    frames = DEGENERATE_FRAMES + [bytes(rng.randrange(256)
+                                        for __ in range(n))
+                                  for n in (64, 65, 80, 130)]
+    state = bytes(rng.randrange(256) for __ in range(STATE_SIZE))
+    _compiled_vs_generic(program, contract, frames, start, budget, state,
+                         max_steps=400)
+
+
+#: Loops that test the scan offset exactly at the edges a branch on a
+#: compare narrows it to (one short of the bound inside the loop, the
+#: bound at its exit, a literal-left compare), and a scan that stores
+#: each slot and reloads it while bumping a counter word it also read
+#: before the loop: a range narrowed one too far, or a reload served
+#: from before a store, changes the count in r0 (the verdict is whether
+#: the count is right) or the state bytes.
+EDGE_PROGRAMS = {
+    "narrowed-offsets": ("""
+        SUBQ r0, r0, r0
+        SUBQ r4, r4, r4
+        SUBQ r9, r9, r9
+        LDA r9, 38(r9)
+        BR check
+loop:   CMPEQ r4, 39, r7
+        ADDQ r0, r7, r0
+        CMPULT r9, r4, r7
+        BEQ r7, skip
+        CMPEQ r4, 39, r7
+        ADDQ r0, r7, r0
+skip:   ADDQ r4, 1, r4
+check:  {guard}
+        BNE r5, loop
+        CMPEQ r4, 40, r7
+        ADDQ r0, r7, r0
+        CMPEQ r0, 3, r0
+        RET
+""", ("CMPULT r4, 40, r5", "CMPULE r4, 39, r5")),
+    "store-then-reload": ("""
+        SUBQ r0, r0, r0
+        SUBQ r4, r4, r4
+        LDQ r8, 152(r3)
+        BR check
+loop:   LDQ r7, 152(r3)
+        ADDQ r7, 1, r7
+        STQ r7, 152(r3)
+        ADDQ r3, r4, r5
+        LDQ r6, 0(r5)
+        ADDQ r6, 1, r7
+        STQ r7, 0(r5)
+        LDQ r8, 0(r5)
+        CMPEQ r8, r7, r9
+        ADDQ r0, r9, r0
+        ADDQ r4, 8, r4
+check:  {guard}
+        BNE r10, loop
+        LDQ r6, 0(r3)
+        STQ r0, 0(r3)
+        LDQ r7, 0(r3)
+        CMPEQ r7, r0, r7
+        ADDQ r0, r7, r0
+        CMPEQ r0, 21, r0
+        RET
+""", ("CMPULT r4, 160, r10",)),
+}
+
+
+@pytest.mark.parametrize("contract", sorted(CONTRACTS))
+@pytest.mark.parametrize("name", sorted(EDGE_PROGRAMS))
+def test_compiled_narrowing_and_reloads_at_the_edges(name, contract):
+    source, guards = EDGE_PROGRAMS[name]
+    frames = KV_FRAMES[:40]
+    for guard in guards:
+        program = parse_program(source.format(guard=guard))
+        runner = compile_batch(program, ALPHA_175, CONTRACTS[contract][0])
+        if contract == "kv" or name == "narrowed-offsets":
+            # Every frame's count is right ...
+            memory = CONTRACTS[contract][1]()[0]
+            assert runner.run(frames, memory=memory)[1] == len(frames)
+        # ... and the compiled driver is the engine (under the filter
+        # contract the state scan faults past the 16-byte scratch).
+        _compiled_vs_generic(program, contract, frames, 0, None)
+
+
+def test_compiled_loop_widens_a_shrinking_alignment():
+    """A scan offset that halves on every pass loses a known trailing
+    zero per pass: the third emission assumes none, keeps the alignment
+    guard, and faults where the engine does (at offset 4)."""
+    program = parse_program("""
+        SUBQ r4, r4, r4
+        LDA r4, 128(r4)
+loop:   ADDQ r3, r4, r5
+        LDQ r6, 0(r5)
+        ADDQ r0, r6, r0
+        SRL r4, 1, r4
+        BNE r4, loop
+        RET
+""")
+    frames = KV_FRAMES[:30]
+    assert _compiled_vs_generic(program, "kv", frames, 0, None,
+                                bytes(range(STATE_SIZE))) == len(frames)
+

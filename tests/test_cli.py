@@ -197,6 +197,15 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["-2", "-1", "two"])
+    def test_jobs_must_be_non_negative(self, jobs, capsys):
+        """``--jobs 0`` means in-process; a negative count is a usage
+        error, not a silent in-process run."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "a.pcc", "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
     def test_unknown_policy(self, tmp_path):
         source = tmp_path / "f.s"
         source.write_text(FILTER1)
