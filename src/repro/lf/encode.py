@@ -156,18 +156,24 @@ def _encode_formula_node(formula: Formula, env: Env, depth: int) -> LfTerm:
     raise LfError(f"not a formula: {formula!r}")
 
 
-def decode_logic_term(term: LfTerm) -> Term:
+def decode_logic_term(term: LfTerm, _memo: dict | None = None) -> Term:
     """Partial inverse of :func:`encode_term` for side conditions.
 
     Bound LF variables become logic variables named ``%<index>`` — a
     consistent renaming within a single side-condition call, which is all
     structural checks need.  Raises :class:`LfError` on lambdas or unknown
     heads, which a side condition treats as failure (conservative).
+    Memoized per call by node identity, so a shared LF node decodes to
+    one shared logic node.
     """
     if isinstance(term, LfInt):
         return Int(term.value)
     if isinstance(term, LfVar):
         return Var(f"%{term.index}")
+    memo = _memo if _memo is not None else {}
+    cached = memo.get(id(term))
+    if cached is not None:
+        return cached
     head, args = spine(term)
     if isinstance(head, LfConst):
         if head.name in STATE_CONSTANTS and not args:
@@ -178,13 +184,20 @@ def decode_logic_term(term: LfTerm) -> Term:
                 raise LfError(
                     f"operator {head.name!r} applied to {len(args)} "
                     f"arguments, expected {expected}")
-            return App(head.name,
-                       tuple(decode_logic_term(arg) for arg in args))
+            result = memo[id(term)] = App(
+                head.name, tuple(decode_logic_term(arg, memo)
+                                 for arg in args))
+            return result
     raise LfError(f"cannot decode LF term {term!r} as a logic term")
 
 
-def decode_logic_formula(term: LfTerm, depth: int = 0,
-                         env: dict[int, str] | None = None) -> Formula:
+def _bound_name(level: int, memories: int) -> str:
+    """The canonical name of the quantifier bound at binder ``level``."""
+    return f"rm${level}" if memories >> level & 1 else f"v{level}"
+
+
+def decode_logic_formula(term: LfTerm, depth: int = 0, memories: int = 0,
+                         _memo: dict | None = None) -> Formula:
     """Partial inverse of :func:`encode_formula`.
 
     Quantifiers decode with *canonical* bound-variable names derived from
@@ -192,53 +205,65 @@ def decode_logic_formula(term: LfTerm, depth: int = 0,
     memories); certification round-trips invariants through this decoder
     so producer and consumer compute structurally identical safety
     predicates regardless of the names the producer originally used.
+    The scope is therefore ``depth`` plus ``memories``, with bit ``level``
+    set for each enclosing ``allm``.  Memoized per call by node identity
+    and scope, formulas and terms apart, so a shared LF node decodes to
+    one shared logic node.
     """
-    bound = env or {}
-
-    def term_in_scope(lf: LfTerm) -> Term:
-        return _decode_term_scoped(lf, depth, bound)
-
     if term == LfConst("true"):
         return Truth()
     if term == LfConst("false"):
         return Falsity()
+    memo = _memo if _memo is not None else {}
+    key = (id(term), depth, memories, "form")
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
     head, args = spine(term)
-    if isinstance(head, LfConst):
-        if head.name in _CONNECTIVES and len(args) == 2:
-            ctor = _CONNECTIVES[head.name]
-            return ctor(decode_logic_formula(args[0], depth, bound),
-                        decode_logic_formula(args[1], depth, bound))
-        if head.name in _PREDICATES:
-            return Atom(head.name, tuple(term_in_scope(a) for a in args))
-        if head.name in ("all", "allm") and len(args) == 1:
-            body_lam = args[0]
-            if not isinstance(body_lam, LfLam):
-                raise LfError("quantifier body must be a lambda")
-            name = f"rm${depth}" if head.name == "allm" else f"v{depth}"
-            inner = dict(bound)
-            inner[depth] = name
-            body = decode_logic_formula(body_lam.body, depth + 1, inner)
-            return Forall(name, body)
-    raise LfError(f"cannot decode LF term {term!r} as a formula")
+    name = head.name if isinstance(head, LfConst) else None
+    if name in _CONNECTIVES and len(args) == 2:
+        result = _CONNECTIVES[name](
+            decode_logic_formula(args[0], depth, memories, memo),
+            decode_logic_formula(args[1], depth, memories, memo))
+    elif name in _PREDICATES:
+        result = Atom(name, tuple(
+            _decode_term_scoped(arg, depth, memories, memo) for arg in args))
+    elif name in ("all", "allm") and len(args) == 1:
+        body_lam = args[0]
+        if not isinstance(body_lam, LfLam):
+            raise LfError("quantifier body must be a lambda")
+        if name == "allm":
+            memories |= 1 << depth
+        body = decode_logic_formula(body_lam.body, depth + 1, memories, memo)
+        result = Forall(_bound_name(depth, memories), body)
+    else:
+        raise LfError(f"cannot decode LF term {term!r} as a formula")
+    memo[key] = result
+    return result
 
 
-def _decode_term_scoped(term: LfTerm, depth: int,
-                        env: dict[int, str]) -> Term:
-    """Decode a term that may mention quantifier-bound variables; ``env``
-    maps binder *level* to the canonical variable name."""
+def _decode_term_scoped(term: LfTerm, depth: int, memories: int,
+                        memo: dict) -> Term:
+    """Decode a term that may mention quantifier-bound variables: those
+    bound at a level below ``depth`` get their canonical names."""
     if isinstance(term, LfVar):
         level = depth - term.index - 1
-        if level in env:
-            return Var(env[level])
+        if level >= 0:
+            return Var(_bound_name(level, memories))
         return Var(f"%{term.index}")
     if isinstance(term, LfInt):
         return Int(term.value)
+    key = (id(term), depth, memories, "tm")
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
     head, args = spine(term)
     if isinstance(head, LfConst):
         if head.name in STATE_CONSTANTS and not args:
             return Var(head.name)
         if head.name in OPS and len(args) == OPS[head.name].arity:
-            return App(head.name,
-                       tuple(_decode_term_scoped(arg, depth, env)
-                             for arg in args))
+            result = memo[key] = App(head.name, tuple(
+                _decode_term_scoped(arg, depth, memories, memo)
+                for arg in args))
+            return result
     raise LfError(f"cannot decode LF term {term!r} as a logic term")

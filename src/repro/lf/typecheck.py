@@ -13,7 +13,16 @@ Performance notes (they do not affect what is accepted):
   same Python object — so inference and normalization are memoized by
   object identity plus context identity;
 * contexts are cons-lists, so extending a context preserves the identity
-  of the shared tail.
+  of the shared tail;
+* an application spine ``h a1 … an`` is checked in one pass: ``h``'s type
+  is inferred once, each domain is instantiated by one simultaneous
+  substitution of the arguments before it, and the codomain once at the
+  end, so no argument is re-walked or re-shifted by a later one.  Each
+  prefix ``h a1 … ai`` is memoized unforced, as the rest of the
+  Π-telescope plus its pending arguments, so spines sharing a partial
+  application resume it instead of re-checking it;
+* a context entry's type is shifted on lookup only when it has free
+  variables: a closed hypothesis comes back as the same object.
 
 One extension (documented in :mod:`repro.lf.signature`): signature
 constants may carry a *side condition*, a decidable predicate on the
@@ -41,7 +50,6 @@ from repro.lf.syntax import (
     normalize,
     shift,
     spine,
-    subst,
     whnf,
 )
 
@@ -86,7 +94,9 @@ class _Checker:
         self._max_arity = max(entry.side_arity
                               for entry in signature.entries.values())
         # Memo tables hold strong references to their keys, so ids stay
-        # valid for the checker's lifetime.
+        # valid for the checker's lifetime.  An inference memo entry is
+        # (term, ctx, type, pending): the term's type is ``type`` with
+        # the ``pending`` arguments substituted (see _spine).
         self._infer_memo: dict[tuple, tuple] = {}
         self._norm_memo: dict[int, tuple] = {}
         self._free_memo: dict[int, tuple] = {}
@@ -107,10 +117,17 @@ class _Checker:
         while ctx is not None:
             ty, parent = ctx
             if walked == index:
-                return shift(ty, index + 1)
+                return self._shifted(ty, index + 1)
             walked += 1
             ctx = parent
         raise LfError(f"unbound de Bruijn index {index}")
+
+    def _shifted(self, term: LfTerm, amount: int) -> LfTerm:
+        """``shift(term, amount)``, without the walk when ``term`` is
+        closed or ``amount`` is 0."""
+        if not amount or not _free_indices(term, self._free_memo):
+            return term
+        return shift(term, amount)
 
     def infer(self, term: LfTerm, ctx: Ctx, depth: int) -> LfTerm:
         if depth > self.max_depth:
@@ -121,10 +138,16 @@ class _Checker:
         # branch arms type-check once instead of once per path.
         key = (id(term), self._ctx_fingerprint(term, ctx))
         memo = self._infer_memo.get(key)
-        if memo is not None:
+        if memo is None:
+            # Spines skip _infer: each level of nesting costs two frames.
+            result = (self._spine(term, ctx, depth)
+                      if isinstance(term, LfApp)
+                      else self._infer(term, ctx, depth))
+        elif memo[3]:
+            result = self._instantiate(memo[2], memo[3], {})
+        else:
             return memo[2]
-        result = self._infer(term, ctx, depth)
-        self._infer_memo[key] = (term, ctx, result)
+        self._infer_memo[key] = (term, ctx, result, ())
         return result
 
     def _ctx_fingerprint(self, term: LfTerm, ctx: Ctx) -> tuple:
@@ -174,17 +197,98 @@ class _Checker:
             body_ty = self.infer(term.body, (term.ty, ctx), depth + 1)
             self._fully_applied(term.body)
             return LfPi(term.ty, body_ty, term.hint)
-        if isinstance(term, LfApp):
-            fn_ty = whnf(self.infer(term.fn, ctx, depth + 1))
-            if not isinstance(fn_ty, LfPi):
-                raise LfError("application of a non-function")
-            arg_ty = self.infer(term.arg, ctx, depth + 1)
-            if not self.equal(arg_ty, fn_ty.dom):
-                raise LfError("argument type mismatch")
-            self._fully_applied(term.arg)
-            self._side_condition(term)
-            return subst(fn_ty.cod, term.arg)
         raise LfError(f"not an LF term: {term!r}")
+
+    def _spine(self, term: LfApp, ctx: Ctx, depth: int) -> LfTerm:
+        """Infer ``h a1 … an`` in one pass, making the checks of inferring
+        it one application at a time, in the same order and at the same
+        depths.  The longest prefix already memoized in this context is
+        resumed; each newly checked prefix is memoized unforced."""
+        apps = [(term, None)]
+        fn = term.fn
+        while isinstance(fn, LfApp):
+            if depth + len(apps) > self.max_depth:
+                raise LfError("type checking exceeded maximum depth")
+            key = (id(fn), self._ctx_fingerprint(fn, ctx))
+            memo = self._infer_memo.get(key)
+            if memo is not None:
+                ty, pending = memo[2], memo[3]
+                break
+            apps.append((fn, key))
+            fn = fn.fn
+        else:
+            ty, pending = self.infer(fn, ctx, depth + len(apps)), ()
+        # The spine's head and how many arguments ``fn`` already has; a
+        # side condition can only fire within the first _max_arity.
+        head, count = fn, 0
+        while isinstance(head, LfApp) and count < self._max_arity:
+            head, count = head.fn, count + 1
+        entry = (self.signature.entries.get(head.name)
+                 if isinstance(head, LfConst) else None)
+        guarded = entry is not None and entry.side_condition is not None
+        instances: dict = {}
+        for position in range(len(apps) - 1, -1, -1):
+            app, key = apps[position]
+            if not isinstance(ty, LfPi):
+                ty = whnf(self._instantiate(ty, pending, instances))
+                pending, instances = (), {}
+                if not isinstance(ty, LfPi):
+                    raise LfError("application of a non-function")
+            arg_ty = self.infer(app.arg, ctx, depth + position + 1)
+            if not self.equal(arg_ty,
+                              self._instantiate(ty.dom, pending, instances)):
+                raise LfError("argument type mismatch")
+            self._fully_applied(app.arg)
+            count += 1
+            if (guarded and count == entry.side_arity
+                    and not entry.side_condition(spine(app)[1])):
+                raise LfError(
+                    f"side condition of {head.name!r} failed — the proof "
+                    f"instantiates an arithmetic schema unsoundly")
+            ty, pending = ty.cod, pending + (app.arg,)
+            if key is not None:
+                self._infer_memo[key] = (app, ctx, ty, pending)
+        return self._instantiate(ty, pending, instances)
+
+    def _instantiate(self, term: LfTerm, args: tuple, memo: dict,
+                     cutoff: int = 0) -> LfTerm:
+        """``term``, which sits under one binder per argument in ``args``
+        (outermost first) and ``cutoff`` binders of its own, with the
+        arguments substituted for those binders all at once.  Memoized
+        per (node, argument count, cutoff); closed subterms and the
+        arguments themselves are returned without a walk."""
+        if not args:
+            return term
+        if isinstance(term, LfVar):
+            index = term.index - cutoff
+            if index < 0:
+                return term
+            if index < len(args):
+                return self._shifted(args[-1 - index], cutoff)
+            return LfVar(term.index - len(args))
+        if (isinstance(term, (LfConst, LfInt))
+                or not _free_indices(term, self._free_memo)):
+            return term
+        key = (id(term), len(args), cutoff)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        if isinstance(term, LfApp):
+            result: LfTerm = LfApp(
+                self._instantiate(term.fn, args, memo, cutoff),
+                self._instantiate(term.arg, args, memo, cutoff))
+        elif isinstance(term, LfLam):
+            result = LfLam(self._instantiate(term.ty, args, memo, cutoff),
+                           self._instantiate(term.body, args, memo,
+                                             cutoff + 1), term.hint)
+        elif isinstance(term, LfPi):
+            result = LfPi(self._instantiate(term.dom, args, memo, cutoff),
+                          self._instantiate(term.cod, args, memo,
+                                            cutoff + 1), term.hint)
+        else:
+            raise LfError(f"not an LF term: {term!r}")
+        memo[key] = result
+        return result
 
     def _fully_applied(self, term: LfTerm) -> None:
         """A guarded constant short of its arity, passed as an argument
@@ -197,20 +301,6 @@ class _Checker:
                  if isinstance(term, LfConst) else None)
         if entry is not None and count < entry.side_arity:
             raise LfError(f"{term.name!r} is not fully applied")
-
-    def _side_condition(self, application: LfApp) -> None:
-        head, args = spine(application)
-        if not isinstance(head, LfConst):
-            return
-        entry = self.signature.entries.get(head.name)
-        if entry is None or entry.side_condition is None:
-            return
-        if len(args) != entry.side_arity:
-            return
-        if not entry.side_condition(args):
-            raise LfError(
-                f"side condition of {head.name!r} failed — the proof "
-                f"instantiates an arithmetic schema unsoundly")
 
 
 def infer_type(term: LfTerm, signature: Signature,

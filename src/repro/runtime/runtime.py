@@ -221,7 +221,6 @@ class PacketRuntime:
             if name in self._extensions:
                 raise ValueError(f"extension {name!r} already attached")
         extension = self._admit(name, data)
-        self._resolve_budget(extension)
         with self._lock:
             if name in self._extensions:  # lost a race to another attach
                 raise ValueError(f"extension {name!r} already attached")
@@ -230,9 +229,10 @@ class PacketRuntime:
 
     def _admit(self, name: str, data: bytes | PccBinary
                ) -> RuntimeExtension:
-        """Build a RuntimeExtension from ``data`` via the loader — the
-        shared admission step behind :meth:`attach` and :meth:`upgrade`
-        (nothing reaches dispatch without passing through here)."""
+        """Build a RuntimeExtension from ``data`` via the loader, with its
+        budget resolved — the shared admission step behind :meth:`attach`
+        and :meth:`upgrade` (nothing reaches dispatch without passing
+        through here)."""
         blob = data.to_bytes() if isinstance(data, PccBinary) else bytes(data)
         digest = self.loader.cache_key(blob)[0]
         config = self.config
@@ -241,25 +241,31 @@ class PacketRuntime:
         except ValidationError:
             if not config.downgrade_unproven:
                 raise
-            return self._attach_checked(name, blob, digest)
+            extension = self._attach_checked(name, blob, digest)
+            self._resolve_budget(extension)
+            return extension
         extension = RuntimeExtension(
             name, blob, digest, report.program, report,
             checked=False, shards=config.shards)
         extension.engine = ExecutionEngine(
             report.program, config.cost_model, config.max_steps)
-        extension.batch_runner = self._batch_runner_for(report.program)
+        wcet = self._resolve_budget(extension)
+        extension.batch_runner = self._batch_runner_for(report.program, wcet)
         return extension
 
-    def _batch_runner_for(self, program):
+    def _batch_runner_for(self, program, wcet):
         """The specialized whole-batch driver for an unchecked program,
         or None when the program (no WCET bound, size) or this runtime's
-        invocation contract falls outside the fast path."""
-        if self._frame_plan is None:
+        invocation contract falls outside the fast path.  A program whose
+        admission ``wcet`` found no bound is not compiled: the compiler
+        would bound the same loops again only to refuse."""
+        if self._frame_plan is None or (wcet is not None
+                                        and not wcet.is_bounded):
             return None
         return compile_batch(program, self.config.cost_model,
                              self._frame_plan, self.config.max_steps)
 
-    def _resolve_budget(self, extension: RuntimeExtension) -> None:
+    def _resolve_budget(self, extension: RuntimeExtension):
         """Fix the extension's per-invocation budget at admission.
 
         ``cycle_budget="auto"`` asks the static analyzer for the
@@ -269,12 +275,13 @@ class PacketRuntime:
         would complete — verdicts are bit-identical.  Extensions the
         analysis cannot bound (irreducible flow, unprovable loops) fall
         back to unbudgeted dispatch; ``wcet_bound`` stays None and the
-        operator can see that in telemetry.
+        operator can see that in telemetry.  Returns the WCET report, or
+        None under a fixed budget.
         """
         config = self.config
         if config.cycle_budget != "auto":
             extension.cycle_budget = config.cycle_budget
-            return
+            return None
         from repro.analysis.intervals import context_for_policy
         from repro.analysis.wcet import estimate_wcet
 
@@ -283,6 +290,7 @@ class PacketRuntime:
                                config.cost_model)
         extension.wcet_bound = report.bound
         extension.cycle_budget = report.budget(config.budget_slack)
+        return report
 
     def _attach_checked(self, name: str, blob: bytes,
                         digest: str) -> RuntimeExtension:
@@ -347,6 +355,7 @@ class PacketRuntime:
         if extension.state is not ExtensionState.QUARANTINED:
             raise ValueError(f"extension {name!r} is not quarantined "
                              f"(state: {extension.state.value})")
+        promoted = False
         try:
             report = self.loader.load(extension.blob)
         except ValidationError:
@@ -354,6 +363,7 @@ class PacketRuntime:
                 raise  # proven bytes failing revalidation: refuse
         else:
             if extension.checked:
+                promoted = True
                 extension.checked = False
                 extension.shard_engines = None
                 extension.report = report
@@ -361,9 +371,10 @@ class PacketRuntime:
                 extension.engine = ExecutionEngine(
                     report.program, self.config.cost_model,
                     self.config.max_steps)
-                extension.batch_runner = self._batch_runner_for(
-                    report.program)
-        self._resolve_budget(extension)
+        wcet = self._resolve_budget(extension)
+        if promoted:
+            extension.batch_runner = self._batch_runner_for(
+                extension.program, wcet)
         extension.reinstate()
         return extension
 
@@ -422,7 +433,6 @@ class PacketRuntime:
                 f"version (digest {digest[:12]})")
         candidate = self._admit(name, blob)
         candidate.version = extension.version + 1
-        self._resolve_budget(candidate)
         shadow = ShadowCanary(name, extension, candidate,
                               canary or self.config.canary,
                               shards=len(self.shards),

@@ -7,12 +7,19 @@ so certified artifacts are session-scoped and shared across test modules.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.filters.policy import packet_filter_policy
 from repro.filters.programs import FILTERS, SCRATCH_COUNTER
 from repro.filters.trace import TraceConfig, generate_trace
 from repro.pcc import certify
 from repro.vcgen.policy import resource_access_policy
+
+#: ``--hypothesis-profile=ci`` widens the search of the suites that take
+#: their example count from the loaded profile (the LF checker
+#: differential, ``tests/pcc/test_checker_differential.py``); every other
+#: suite pins its own count.
+settings.register_profile("ci", max_examples=400, deadline=None)
 
 #: The Figure 5 resource-access client, verbatim from the paper.
 RESOURCE_ACCESS_SOURCE = """

@@ -18,7 +18,7 @@ from repro.lf.encode import (
     encode_term,
 )
 from repro.lf.signature import SIGNATURE
-from repro.lf.syntax import LfApp, LfConst, LfInt, LfVar, lf_app
+from repro.lf.syntax import LfApp, LfConst, LfInt, LfLam, LfVar, lf_app
 from repro.lf.typecheck import check_proof_term
 from repro.logic.formulas import (
     And,
@@ -97,6 +97,52 @@ class TestFormulaEncoding:
     def test_decode_rejects_junk(self):
         with pytest.raises(LfError):
             decode_logic_formula(LfInt(3))
+
+
+class TestDecodingSharing:
+    """A node shared on the wire decodes once, to one shared logic node:
+    a 16-level sharing chain is 2^16 nodes as a tree."""
+
+    DEPTH = 16
+
+    @classmethod
+    def _terms(cls):
+        """``t_0 = 1``, ``t_{k+1} = add64(t_k, t_k)``, as LF."""
+        term = LfInt(1)
+        for __ in range(cls.DEPTH):
+            term = lf_app(LfConst("add64"), term, term)
+        return term
+
+    @classmethod
+    def _assert_shared(cls, term):
+        """Each ``add64`` level's two children are one object."""
+        for __ in range(cls.DEPTH - 1):
+            left, right = term.args
+            assert left is right
+            term = left
+        assert term.args == (Int(1), Int(1))
+
+    def test_shared_term_decodes_shared(self):
+        self._assert_shared(decode_logic_term(self._terms()))
+
+    def test_shared_formula_decodes_shared(self):
+        """``f_0 = eq(t, t)`` with ``t = add64(x, 1)`` under a quantifier
+        on ``x``, ``f_{k+1} = and(f_k, f_k)``: connectives, atoms and the
+        scoped terms in them."""
+        term = lf_app(LfConst("add64"), LfVar(0), LfInt(1))
+        formula = lf_app(LfConst("eq"), term, term)
+        for __ in range(self.DEPTH):
+            formula = lf_app(LfConst("and"), formula, formula)
+        decoded = decode_logic_formula(
+            LfApp(LfConst("all"), LfLam(LfConst("tm"), formula)))
+        assert decoded.var == "v0"
+        decoded = decoded.body
+        for __ in range(self.DEPTH):
+            assert decoded.left is decoded.right
+            decoded = decoded.left
+        left, right = decoded.args
+        assert left is right
+        assert left == add64(Var("v0"), 1)
 
 
 class TestProofEncoding:

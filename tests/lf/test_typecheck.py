@@ -17,7 +17,7 @@ from repro.lf.syntax import (
     TYPE,
     lf_app,
 )
-from repro.lf.typecheck import check_proof_term, infer_type
+from repro.lf.typecheck import _Checker, check_proof_term, infer_type
 
 TM = LfConst("tm")
 FORM = LfConst("form")
@@ -132,3 +132,44 @@ class TestCheckProofTerm:
             term = LfApp(LfLam(TM, LfVar(0)), term)
         with pytest.raises(LfError):
             infer_type(term, SIGNATURE, max_depth=20)
+
+
+class TestSharedPartialApplication:
+    """N spines sharing one k-argument partial application are checked
+    in work linear in N + k: the prefix is resumed, not re-checked."""
+
+    @staticmethod
+    def _term(shared: int, spines: int):
+        """``λf. add64 (P N-1) (… (add64 (P 0) 0))``, where ``f`` takes
+        k+1 individuals and ``P = f 0 1 … k-1`` is one shared node."""
+        fn_ty = TM
+        for __ in range(shared + 1):
+            fn_ty = LfPi(TM, fn_ty)
+        prefix = lf_app(LfVar(0), *(LfInt(i) for i in range(shared)))
+        body = LfInt(0)
+        for j in range(spines):
+            body = lf_app(LfConst("add64"), LfApp(prefix, LfInt(j)), body)
+        return LfLam(fn_ty, body)
+
+    @staticmethod
+    def _infer_calls(monkeypatch, term) -> int:
+        calls = []
+        infer = _Checker.infer
+
+        def counted(self, *args):
+            calls.append(None)
+            return infer(self, *args)
+
+        monkeypatch.setattr(_Checker, "infer", counted)
+        assert isinstance(infer_type(term, SIGNATURE), LfPi)
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_linear_checker_calls(self, monkeypatch):
+        shared = spines = 40
+        calls = self._infer_calls(monkeypatch,
+                                  self._term(shared, spines))
+        assert calls < 5 * (shared + spines)   # N·k would be 1,600
+        doubled = self._infer_calls(monkeypatch,
+                                    self._term(shared, 2 * spines))
+        assert doubled - calls < 5 * spines

@@ -1,16 +1,20 @@
-"""Cross-validation of the two independent proof checkers.
+"""Cross-validation of the independent proof checkers.
 
-The repository has two validators for the same proofs: the direct Delta
-checker over natural-deduction trees, and the LF type checker over the
-encoded objects (the paper's validator).  Every certified artifact must
-satisfy BOTH — a disagreement would mean one of the trusted cores is
-wrong, so this is the deepest consistency test in the suite.
+The repository has three validators for the same proofs: the direct Delta
+checker over natural-deduction trees, the LF type checker over the
+encoded objects (the paper's validator), and the minimal LF checker
+(:mod:`repro.lf.minicheck`), written separately from the first.  Every
+certified artifact must satisfy ALL of them — a disagreement would mean
+one of the trusted cores is wrong, so this is the deepest consistency
+test in the suite.
 """
 
 import pytest
 
+from repro.filters.kv import KV_PROGRAMS, kv_packet_policy
 from repro.lf.encode import encode_formula
 from repro.lf.binary import deserialize_lf, serialize_lf
+from repro.lf.minicheck import minicheck_proof
 from repro.lf.signature import SIGNATURE
 from repro.lf.syntax import LfApp, LfConst
 from repro.lf.typecheck import check_proof_term
@@ -28,7 +32,10 @@ def _cross_validate(certified):
     check_proof_term(lf_proof, expected, SIGNATURE)
     # 3. and still after a wire round trip (what the consumer really sees)
     table, stream = serialize_lf(lf_proof)
-    check_proof_term(deserialize_lf(table, stream), expected, SIGNATURE)
+    wire_proof = deserialize_lf(table, stream)
+    check_proof_term(wire_proof, expected, SIGNATURE)
+    # 4. as does the independent minimal LF checker
+    minicheck_proof(wire_proof, expected, SIGNATURE)
 
 
 class TestCrossValidation:
@@ -69,3 +76,12 @@ class TestCrossValidation:
         certified = certify(compile_view(M3_VIEW_FILTERS["filter1"]),
                             filter_policy)
         _cross_validate(certified)
+
+    @pytest.mark.parametrize("spec", KV_PROGRAMS,
+                             ids=[spec.name for spec in KV_PROGRAMS])
+    def test_kv_family(self, spec):
+        """The store-bearing family: loops, stores and ``linarith``."""
+        from repro.pcc import certify
+
+        _cross_validate(certify(spec.source, kv_packet_policy(),
+                                invariants=spec.invariants()))

@@ -3,6 +3,8 @@ admission, and the load-bearing acceptance property — budgeted dispatch
 is bit-identical to unbudgeted dispatch on the Figure 8 trace, because
 the budget is a sound upper bound on every successful run."""
 
+import importlib
+
 import pytest
 
 from repro.alpha.encoding import encode_program
@@ -108,6 +110,38 @@ def test_unbounded_extension_falls_back_to_unbudgeted(filter_policy):
     extension = runtime._extensions["spinner"]
     assert extension.wcet_bound is None
     assert extension.cycle_budget is None
+
+
+def test_unbounded_loop_is_bounded_once_per_attach(monkeypatch):
+    """Admission's WCET finds the checksum loop unbounded, so the batch
+    compiler is not asked to bound it a second time: the program runs
+    on the generic engine either way."""
+    from repro.filters.checksum import (
+        CHECKSUM_LOOP_PC,
+        CHECKSUM_SOURCE,
+        checksum_invariant,
+        checksum_policy,
+    )
+    from repro.pcc import certify
+
+    policy = checksum_policy()
+    blob = certify(CHECKSUM_SOURCE, policy, invariants={
+        CHECKSUM_LOOP_PC: checksum_invariant()}).binary.to_bytes()
+    headers = []
+    for module in ("repro.analysis.wcet", "repro.alpha.batch"):
+        owner = importlib.import_module(module)
+
+        def counted(analysis, loop, *args, _bound=owner.bound_loop,
+                    **kwargs):
+            headers.append(loop.header)
+            return _bound(analysis, loop, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "bound_loop", counted)
+    runtime = PacketRuntime(policy, RuntimeConfig(cycle_budget="auto"))
+    extension = runtime.attach("checksum", blob)
+    assert extension.wcet_bound is None
+    assert extension.batch_runner is None
+    assert len(headers) == 1
 
 
 # -- the acceptance property --------------------------------------------
