@@ -47,18 +47,23 @@ KV family's):
   edges;
 * materialized subexpressions are remembered per path, so a value the
   program recomputes (common after tree duplication) is evaluated once —
-  loads included, until the next store: a reload of the same address
-  with no store in between is pure;
-* loads and stores at addresses in the plan's fixed regions become
-  direct ``unpack_from``/``pack_into`` calls on the region buffers —
-  the frame (or, for a writable packet, a per-invocation copy of it)
-  and r3's region, which is the shard's own buffer, read from its
-  :class:`~repro.alpha.machine.Memory` at every call.  A store-free
-  program under the filter contract reads its (always-zero) scratch as
-  the constant 0.  Everything else — padded-tail words, unaligned or
-  unmapped addresses, writes to a read-only packet — funnels through one
-  out-of-line helper that raises the *exact*
-  :class:`~repro.alpha.machine.Memory` messages;
+  loads included, until the next store that can reach them: a packet
+  load survives a store into r3's region and a region load one into the
+  packet, and a store the helper may serve (either buffer) drops both;
+* r3's region is whole 64-bit words, held as a Python list (``sw``) for
+  the whole call: read from the shard's
+  :class:`~repro.alpha.machine.Memory` with one ``unpack_from`` at
+  entry, indexed by every load and store in it (``sw[off >> 3]``, a
+  constant offset folded to the index), and written back with one
+  ``pack_into`` on every exit of the call, faults and foreign exceptions
+  included.  Packet loads and stores stay direct
+  ``unpack_from``/``pack_into`` calls on the frame (or, for a writable
+  packet, a per-invocation copy of it).  A store-free program under the
+  filter contract reads its (always-zero) scratch as the constant 0.
+  Everything else — padded-tail words, unaligned or unmapped addresses,
+  writes to a read-only packet — funnels through one out-of-line helper
+  that raises the *exact* :class:`~repro.alpha.machine.Memory`
+  messages;
 * a loop-free path's dynamic step and cycle counts are decode-time
   constants, so its cycle telemetry is a per-leaf counter increment;
   past a loop head the clock is one local advanced by a constant per
@@ -142,8 +147,9 @@ _S63 = 1 << 63
 #: so bound both the emitted instruction count and the nesting depth
 #: (Python's compiler limits indentation) before falling back.  Loops
 #: entered one after another nest their ``while`` statements, and
-#: CPython allows 20 statically nested blocks (the driver's ``try`` and
-#: ``for`` take two).
+#: CPython allows 20 statically nested blocks (a memory-using driver's
+#: ``try``, its write-back ``try``/``finally`` and its ``for`` take
+#: three).
 _MAX_NODES = 3000
 _MAX_DEPTH = 48
 _MAX_LOOPS = 16
@@ -154,6 +160,11 @@ _MAX_LOOPS = 16
 #: store/load and values it reuses are computed once.
 
 _ZERO = ("k", 0)
+
+#: The buffers a memory access can reach, as bits: a store forgets the
+#: memoized loads whose bits it shares.
+_PACKET, _REGION = 1, 2
+_EITHER = _PACKET | _REGION
 
 #: A top-level AND-with-literal, as this module's own emitters spell it.
 #: Every operand is a bare name or fully parenthesized, so any *nested*
@@ -212,7 +223,10 @@ class BatchRunner:
     program, and every program under the KV contract) works on the
     region buffers of the ``memory`` it is handed, which it looks up on
     every call: one runner serves every shard, and forked children
-    inherit it.
+    inherit it.  It reads r3's region into a word list at entry and
+    writes the list back at every exit of the call (the normal return,
+    a :class:`MachineError`, or any other exception), so between calls
+    the region holds exactly what the stores wrote.
     """
 
     __slots__ = ("_plain", "_budgeted", "max_path_cycles", "uses_memory")
@@ -256,6 +270,10 @@ def _preconditions(program: Program, max_steps: int, plan: FramePlan):
     trips)`` — the interval analysis and per-loop trip bounds are only
     computed for a program with loops.  Raises :class:`_Fallback`
     naming the first precondition that fails."""
+    if plan.region_base % 8 or plan.region_size % 8:
+        # The drivers hold r3's region as a list of words.
+        raise _Fallback(f"r3's region ({plan.region_size} bytes at "
+                        f"{plan.region_base:#x}) is not whole words")
     cfg = build_cfg(program)
     lengths = [block.end - block.start for block in cfg.blocks]
     analysis, trips = None, ()
@@ -584,8 +602,9 @@ _NAME = re.compile(r"\bt\d+\b")
 def _impure(text: str) -> bool:
     """Whether an emitted right-hand side reads memory (a load): loads
     can fault and must keep their program point, and a store between
-    two of them invalidates the memo."""
-    return "q(" in text or "edge(" in text
+    two of them invalidates the memo.  ``sw[`` is a load from r3's
+    region's word list."""
+    return "q(" in text or "edge(" in text or "sw[" in text
 
 
 def _tidy(lines: list[str]) -> list[str]:
@@ -721,8 +740,11 @@ def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
     # The packet's buffer: the frame itself, or — when the packet is
     # writable and some store may land in it — a per-invocation copy.
     packet = "pkt" if plan.persistent else "frame"
-    # The out-of-line helper's buffers (after the address).
-    edge_args = f"{packet}, st" if uses_memory else "frame, flen"
+    # The out-of-line helper's buffers (after the address); ``sw`` is
+    # r3's region as a list of words.
+    edge_args = f"{packet}, sw" if uses_memory else "frame, flen"
+    # The buffers each load text can read (_PACKET, _REGION or both).
+    reach: dict[str, int] = {}
 
     def emit(indent: int, text: str) -> None:
         lines.append("    " * indent + text)
@@ -755,10 +777,12 @@ def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
     def region_access(aval, addr: str, kind: str):
         """The fast path for a non-constant address: ``(buffer, offset
         text, guard terms)`` for the region the address range can reach
-        (r3's region first, when the driver reads memory), or None when
-        a store can only reach a read-only packet (the helper raises
-        there).  The range facts discharge guard terms (a lower bound
-        at or above the base, kz >= 3 the alignment)."""
+        (r3's region first, when the driver reads memory: ``sw`` and a
+        word index), or None when a store can only reach a read-only
+        packet (the helper raises there).  The range facts discharge
+        guard terms (a lower bound at or above the base, kz >= 3 the
+        alignment).  The packet is picked only when the range misses
+        r3's region, so its helper fallback never reaches the region."""
         span, kz = _info(aval)
         align = [f"not {addr} & 7"] if kz < 3 else []
         last = rb + rs - 8
@@ -771,7 +795,7 @@ def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
         if uses_memory and span.lo <= last and span.hi >= rb:
             tag = aval[4]
             offset = (str(tag[1][1]) if tag is not None and tag[0] == "add"
-                      and tag[2] == rb else f"{addr} - {rb}")
+                      and tag[2] == rb else f"({addr} - {rb})")
             if span.lo >= rb and span.hi <= last:
                 bounds = []
             elif span.lo >= rb:
@@ -780,15 +804,17 @@ def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
                 bounds = [f"{rb} <= {addr}"]
             else:
                 bounds = [f"{rb} <= {addr} <= {last}"]
-            return "st", offset, bounds + align
+            return "sw", f"{offset} >> 3", bounds + align
         if kind == "STQ" and not plan.persistent:
             return None
         bounds = [f"{pb} <= {addr}"] if span.lo < pb else []
         return (packet, f"{addr} - {pb}",
                 bounds + [f"{addr} <= flen + {pb - 8}"] + align)
 
-    def drop_loads(memo: dict) -> None:
-        for key in [key for key in memo if _impure(key)]:
+    def drop_loads(memo: dict, stored: int) -> None:
+        """Forget the memoized loads that can read a buffer in
+        ``stored``."""
+        for key in [key for key in memo if reach.get(key, 0) & stored]:
             del memo[key]
 
     def emit_ldq(instruction: Ldq, regs: dict, memo: dict,
@@ -809,7 +835,7 @@ def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
                     # invocation.
                     regs[instruction.rd.index] = _ZERO
                     return False
-                text = f"q(st, {address - rb})[0]"
+                text, where = f"sw[{(address - rb) >> 3}]", _REGION
             elif address < pb:
                 # Below the packet region and not r3's: unmapped for
                 # every frame, exactly as Memory._find would report.
@@ -820,13 +846,19 @@ def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
                 offset = address - pb
                 text = (f"q({packet}, {offset})[0] if flen >= {offset + 8} "
                         f"else edge({address}, {edge_args})")
+                where = _PACKET
         else:
             addr = name_of(aval, indent, memo)
             buffer, offset, checks = region_access(aval, addr, "LDQ")
-            text = f"q({buffer}, {offset})[0]"
+            if buffer == "sw":
+                # Guarded, the helper may read either buffer.
+                text, where = f"sw[{offset}]", _EITHER if checks else _REGION
+            else:
+                text, where = f"q({buffer}, {offset})[0]", _PACKET
             if checks:
                 text = (f"{text} if {' and '.join(checks)} "
                         f"else edge({addr}, {edge_args})")
+        reach[text] = where
         regs[instruction.rd.index] = ("e", assign(text, indent, memo), TOP,
                                       0, None)
         return False
@@ -845,7 +877,8 @@ def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
                              f'"unaligned STQ address {address:#x}")')
                 return True
             if rb <= address and address + 8 <= rb + rs:
-                emit(indent, f"pk(st, {address - rb}, {value})")
+                emit(indent, f"sw[{(address - rb) >> 3}] = {value}")
+                stored = _REGION
             elif address < pb:
                 emit(indent, f'raise MachineError('
                              f'"unmapped address {address:#x} (size 8)")')
@@ -855,23 +888,38 @@ def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
                 offset = address - pb
                 emit(indent, f"pk(pkt, {offset}, {value}) "
                              f"if flen >= {offset + 8} "
-                             f"else edge({address}, pkt, st, {value})")
+                             f"else edge({address}, pkt, sw, {value})")
+                stored = _PACKET
             else:
                 # A read-only packet: the helper raises for every frame.
-                emit(indent, f"edge({address}, frame, st, {value})")
+                emit(indent, f"edge({address}, frame, sw, {value})")
                 return True
         else:
             addr = name_of(aval, indent, memo)
             access = region_access(aval, addr, "STQ")
             slow = f"edge({addr}, {edge_args}, {value})"
+            # The helper may store into either buffer.
+            stored = _EITHER
             if access is None:
                 emit(indent, slow)
+            elif access[0] == "sw":
+                __, index, checks = access
+                if checks:
+                    # An assignment is no expression: guard it with an
+                    # if statement.
+                    emit(indent, f"if {' and '.join(checks)}:")
+                    emit(indent + 1, f"sw[{index}] = {value}")
+                    emit(indent, "else:")
+                    emit(indent + 1, slow)
+                else:
+                    emit(indent, f"sw[{index}] = {value}")
+                    stored = _REGION
             else:
                 buffer, offset, checks = access
-                fast = f"pk({buffer}, {offset}, {value})"
-                emit(indent, f"{fast} if {' and '.join(checks)} else {slow}"
-                     if checks else fast)
-        drop_loads(memo)
+                emit(indent, f"pk({buffer}, {offset}, {value}) if "
+                             f"{' and '.join(checks)} else {slow}")
+                stored = _PACKET
+        drop_loads(memo, stored)
         return False
 
     def emit_straightline(instruction, regs: dict, memo: dict,
@@ -1112,17 +1160,25 @@ def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
     entry = {1: ("k", pb), 2: ("e", "flen", TOP, 0, None),
              3: ("k", rb)}
     signature = ("frames, start, b" if budgeted else "frames, start")
+    # The frame loop's body indent: a memory-using driver nests the loop
+    # in a try/finally that writes the word list back on every exit.
+    body = 4 if uses_memory else 3
     emit(1, "try:")
-    emit(2, "for frame in (frames[start:] if start else frames):")
-    emit(3, "flen = len(frame)")
+    if uses_memory:
+        emit(2, "try:")
+    emit(body - 1, "for frame in (frames[start:] if start else frames):")
+    emit(body, "flen = len(frame)")
     if uses_memory:
         prologue = len(lines)
-        emit(3, "pkt = bytearray(frame)" if plan.persistent
-             else "st[:] = zero")
-    walk(0, entry, {}, 0, 0, 3)
-    if uses_memory and plan.persistent and not state["copy"]:
-        # No store can reach the packet: read the frame in place.
-        lines[prologue] = "            pkt = frame"
+        emit(body, "pkt = bytearray(frame)" if plan.persistent
+             else "sw[:] = zero")
+    walk(0, entry, {}, 0, 0, body)
+    if uses_memory:
+        emit(2, "finally:")
+        emit(3, "pack_words(st, 0, *sw)")
+        if plan.persistent and not state["copy"]:
+            # No store can reach the packet: read the frame in place.
+            lines[prologue] = "    " * body + "pkt = frame"
     pairs = ", ".join(f"({cycles}, {name})"
                       for cycles, name in sorted(counters.items()))
     # Frames complete strictly in order and bump exactly one leaf
@@ -1150,6 +1206,7 @@ def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
     if uses_memory:
         header = [f"def _drive({signature}, memory, q=q, pk=pk, edge=edge):",
                   f"    st = memory.region({plan.region!r})",
+                  "    sw = list(unpack_words(st))",
                   f"    {packet} = None",
                   "    accepted = 0"]
     else:
@@ -1159,13 +1216,16 @@ def _emit_driver(cfg: ControlFlowGraph, costs, plan: FramePlan,
         header.append("    hist = defaultdict(int)")
     counter_init = [f"    {name} = 0" for name in counters.values()]
     source = "\n".join(header + counter_init + lines)
+    words = Struct(f"<{rs // 8}Q")
     namespace = {
         "q": Struct("<Q").unpack_from,
         "pk": Struct("<Q").pack_into,
+        "unpack_words": words.unpack_from,
+        "pack_words": words.pack_into,
         "edge": _make_edge(plan, uses_memory),
         "settle": _settle,
         "merged": _merged,
-        "zero": bytes(plan.region_size),
+        "zero": (0,) * (rs // 8),
         "defaultdict": defaultdict,
         "MachineError": MachineError,
         "BudgetExceeded": BudgetExceeded,
@@ -1195,12 +1255,13 @@ def _make_edge(plan: FramePlan, uses_memory: bool = False):
     reference's unaligned/unmapped/read-only faults — bit-exact with
     :meth:`repro.alpha.machine.Memory.load_quad` and ``store_quad`` over
     the plan's reusable memory.  A memory-using driver passes its packet
-    buffer and r3's region buffer (and, for a store, the value); a
-    store-free filter-contract driver passes the frame, whose scratch
-    reads are 0."""
+    buffer and r3's region as its list of words (and, for a store, the
+    value); a store-free filter-contract driver passes the frame, whose
+    scratch reads are 0."""
     pb, rb, rs = plan.packet_base, plan.region_base, plan.region_size
-    unpack = Struct("<Q").unpack_from
     if not uses_memory:
+        unpack = Struct("<Q").unpack_from
+
         def edge(address: int, frame, flen: int) -> int:
             if address & 7:
                 raise MachineError(f"unaligned LDQ address {address:#x}")
@@ -1219,7 +1280,7 @@ def _make_edge(plan: FramePlan, uses_memory: bool = False):
     pack = Struct("<Q").pack_into
     writable = plan.persistent
 
-    def edge(address: int, packet, region, value=None):
+    def edge(address: int, packet, words: list, value=None):
         if address & 7:
             kind = "LDQ" if value is None else "STQ"
             raise MachineError(f"unaligned {kind} address {address:#x}")
@@ -1239,8 +1300,8 @@ def _make_edge(plan: FramePlan, uses_memory: bool = False):
         offset = address - rb
         if 0 <= offset and offset + 8 <= rs:
             if value is None:
-                return unpack(region, offset)[0]
-            pack(region, offset, value)
+                return words[offset >> 3]
+            words[offset >> 3] = value
             return None
         raise MachineError(f"unmapped address {address:#x} (size 8)")
 

@@ -17,8 +17,10 @@ from repro.vcgen.policy import resource_access_policy
 
 #: ``--hypothesis-profile=ci`` widens the search of the suites that take
 #: their example count from the loaded profile (the LF checker
-#: differential, ``tests/pcc/test_checker_differential.py``); every other
-#: suite pins its own count.
+#: differential, ``tests/pcc/test_checker_differential.py``, and the
+#: three compiled-vs-generic batch searches in
+#: ``tests/runtime/test_backend_differential.py``); every other suite
+#: pins its own count.
 settings.register_profile("ci", max_examples=400, deadline=None)
 
 #: The Figure 5 resource-access client, verbatim from the paper.

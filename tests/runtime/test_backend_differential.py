@@ -33,13 +33,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.alpha.batch import FramePlan, compile_batch
+import repro.alpha.batch as batch
+from repro.alpha.batch import FramePlan, batch_capability, compile_batch
 from repro.alpha.engine import ExecutionEngine
 from repro.alpha.parser import parse_program
 from repro.errors import BudgetExceeded, MachineError
 from repro.filters.kv import (
+    KV_INSERT,
     KV_PROGRAMS,
     KV_STATE_BASE,
+    NAT_REWRITE,
     STATE_SIZE,
     kv_registers,
     reusable_kv_memory,
@@ -51,7 +54,7 @@ from repro.filters.policy import (
     filter_registers,
     reusable_packet_memory,
 )
-from repro.filters.programs import FILTER1
+from repro.filters.programs import FILTER1, SCRATCH_COUNTER
 from repro.filters.trace import (
     KvTraceConfig,
     TraceConfig,
@@ -71,6 +74,16 @@ from tests.generators import (
 
 PLAN = FramePlan(PACKET_BASE, SCRATCH_BASE, SCRATCH_SIZE)
 KV_PLAN = FramePlan(PACKET_BASE, KV_STATE_BASE, STATE_SIZE, persistent=True)
+
+_CI = settings.get_profile("ci")
+
+
+def _examples(tier1: int) -> int:
+    """The compiled-vs-generic searches' example count: ``tier1`` in
+    tier-1, the profile's under ``--hypothesis-profile=ci`` (registered
+    in ``tests/conftest.py``)."""
+    return _CI.max_examples if settings.default is _CI else tier1
+
 
 #: Frames that poke every edge of the driver's load guards: empty,
 #: single byte, one-short-of-aligned, exactly one word, unaligned tail,
@@ -390,7 +403,7 @@ def test_run_batch_matches_per_frame_on_wild_programs(
 # -- compiled vs generic batch -------------------------------------------
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=_examples(20), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 6),
        start=st.integers(0, 2),
        budget=st.sampled_from([None, 7, 15, 33, 100_000]))
@@ -501,7 +514,7 @@ def _compiled_vs_generic(program, contract, frames, start, budget,
 KV_BUDGETS = [None, 9, 0.5, 1.0]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=_examples(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), looping=st.booleans(),
        start=st.integers(0, 2), budget=st.sampled_from(KV_BUDGETS))
 def test_kv_compiled_runner_matches_generic_batch(seed, looping, start,
@@ -529,7 +542,7 @@ def test_kv_programs_compiled_vs_generic(spec, budget):
         _compiled_vs_generic(spec.program, "kv", KV_FRAMES, start, budget)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=_examples(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), length=st.integers(3, 14),
        contract=st.sampled_from(sorted(CONTRACTS)),
        start=st.integers(0, 2),
@@ -554,11 +567,16 @@ def test_compiled_runner_matches_generic_on_wild_programs(
 
 #: Loops that test the scan offset exactly at the edges a branch on a
 #: compare narrows it to (one short of the bound inside the loop, the
-#: bound at its exit, a literal-left compare), and a scan that stores
+#: bound at its exit, a literal-left compare), a scan that stores
 #: each slot and reloads it while bumping a counter word it also read
-#: before the loop: a range narrowed one too far, or a reload served
-#: from before a store, changes the count in r0 (the verdict is whether
-#: the count is right) or the state bytes.
+#: before the loop, and straight-line reloads around stores into each
+#: buffer (packet load, state store, packet reload; a store at an
+#: address that is packet word 1 or state word 1 by a bit of packet
+#: word 3, which the helper serves in the packet, between loads of both
+#: words; state load, packet store, state reload): a range narrowed one
+#: too far, or a reload served from before a store that reaches it,
+#: changes the count in r0 (the verdict is whether the count is right)
+#: or the state bytes.
 EDGE_PROGRAMS = {
     "narrowed-offsets": ("""
         SUBQ r0, r0, r0
@@ -606,6 +624,39 @@ check:  {guard}
         CMPEQ r0, 21, r0
         RET
 """, ("CMPULT r4, 160, r10",)),
+    "buffer-reach": ("""
+        SUBQ r0, r0, r0
+        LDQ r5, 8(r1)
+        ADDQ r5, 1, r6
+        STQ r6, 0(r3)
+        LDQ r7, 8(r1)
+        CMPEQ r7, r5, r7
+        ADDQ r0, r7, r0
+        LDQ r4, 24(r1)
+        {guard}
+        SUBQ r3, r1, r8
+        MULQ r4, r8, r8
+        ADDQ r1, r8, r8
+        LDQ r5, 8(r1)
+        LDQ r6, 8(r3)
+        ADDQ r5, r6, r7
+        ADDQ r7, 1, r7
+        STQ r7, 8(r8)
+        LDQ r9, 8(r1)
+        LDQ r10, 8(r3)
+        CMPEQ r9, r7, r9
+        CMPEQ r10, r7, r10
+        ADDQ r9, r10, r9
+        ADDQ r0, r9, r0
+        LDQ r5, 0(r3)
+        ADDQ r5, 1, r6
+        STQ r6, 16(r1)
+        LDQ r7, 0(r3)
+        CMPEQ r7, r5, r7
+        ADDQ r0, r7, r0
+        CMPEQ r0, 3, r0
+        RET
+""", ("AND r4, 1, r4", "SRL r4, 1, r4\n        AND r4, 1, r4")),
 }
 
 
@@ -622,8 +673,59 @@ def test_compiled_narrowing_and_reloads_at_the_edges(name, contract):
             memory = CONTRACTS[contract][1]()[0]
             assert runner.run(frames, memory=memory)[1] == len(frames)
         # ... and the compiled driver is the engine (under the filter
-        # contract the state scan faults past the 16-byte scratch).
+        # contract the state scan faults past the 16-byte scratch, and
+        # the packet stores fault in the read-only packet).
         _compiled_vs_generic(program, contract, frames, 0, None)
+
+
+def test_state_store_keeps_the_packet_loads(monkeypatch):
+    """A store into r3's region cannot reach the packet: nat-rewrite's
+    drivers load packet word 24 once, and rewrite it after the
+    state-table store without reloading it."""
+    sources = []
+    builtin_compile = compile
+
+    def record(source, filename, mode):
+        if filename == "<alpha-batch>":
+            sources.append(source)
+        return builtin_compile(source, filename, mode)
+
+    monkeypatch.setattr(batch, "compile", record, raising=False)
+    assert compile_batch(NAT_REWRITE.program, ALPHA_175, KV_PLAN) is not None
+    # The plain driver and the budgeted one.
+    assert [source.count("q(pkt, 24)") for source in sources] == [1, 1]
+
+
+@pytest.mark.parametrize("contract, program", [
+    ("kv", KV_INSERT.program),
+    ("filter", parse_program(SCRATCH_COUNTER.source)),
+], ids=["kv-insert", "scratch-counter"])
+def test_word_list_is_written_back_when_a_frame_raises(contract, program):
+    """A foreign exception mid-run (``len()`` of a frame that is not
+    bytes-like) still leaves r3's region holding the stores of every
+    frame before it, as the engine's in-place writes do."""
+    plan, factory, registers_fn = CONTRACTS[contract]
+    frames = KV_FRAMES[:30]
+    runner = compile_batch(program, ALPHA_175, plan)
+    compiled, __ = factory()
+    with pytest.raises(TypeError):
+        runner.run(frames[:20] + [None] + frames[20:], memory=compiled)
+    generic, rebind = factory()
+    ExecutionEngine(program, ALPHA_175).run_batch(
+        generic, rebind, frames[:20], registers_fn)
+    assert any(generic.region(plan.region))
+    assert compiled.region(plan.region) == generic.region(plan.region)
+
+
+def test_region_of_partial_words_is_refused():
+    """The drivers hold r3's region as a list of words: a region whose
+    size is not a multiple of 8 stays on the generic engine, with the
+    reason named."""
+    plan = FramePlan(PACKET_BASE, KV_STATE_BASE, STATE_SIZE - 4,
+                     persistent=True)
+    assert batch_capability(KV_INSERT.program, plan=plan) \
+        == "r3's region (156 bytes at 0x30000) is not whole words"
+    assert compile_batch(KV_INSERT.program, ALPHA_175, plan) is None
 
 
 def test_compiled_loop_widens_a_shrinking_alignment():
