@@ -8,16 +8,27 @@ encoding change shows up as a diff, not a silent cache-miss regression)
 and re-derive one in a subprocess with a different hash seed.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.filters.checksum import checksum_invariant
+import pytest
+
+from repro.filters.checksum import (
+    CHECKSUM_LOOP_PC,
+    CHECKSUM_SOURCE,
+    checksum_invariant,
+    checksum_policy,
+)
+from repro.filters.kv import KV_PROGRAMS, kv_packet_policy
 from repro.filters.policy import packet_filter_policy
+from repro.filters.programs import FILTERS
 from repro.lf.encode import encode_formula
 from repro.logic.formulas import conj, ge
 from repro.logic.terms import Var
+from repro.pcc import certify
 from repro.pcc.loader import ExtensionLoader
 from repro.pcc.negotiate import PolicyProposal, propose_policy
 from repro.proof.store import subproof_digest
@@ -58,6 +69,76 @@ proposal = propose_policy(packet_filter_policy(),
                           conj([ge(Var('r2'), 64)]))
 print(proposal.digest())
 """
+
+
+#: sha256 of each corpus program's container, certified as
+#: ``perfbench/common.certify_programs`` certifies it (same policies, same
+#: invariants).  A producer change that alters one proof step, one
+#: encoding choice or the symbol-table order moves these.
+PINNED_CONTAINER_DIGESTS = {
+    "filter1":
+        "fe8dbb2752ca14a429f81836140a66d3ee8fe28b539cb720482dbb5bfbec52fe",
+    "filter2":
+        "ff84d7b5f2185d68f2ca10beec3e3390116a678c4c681dbda82e21b7fcb77688",
+    "filter3":
+        "53b731184082563e94ab4b79395af2795508472cf840d3e056a1cec35129cd92",
+    "filter4":
+        "0f6dfcc97befe54d9acffc8c01488741afd73e809a5bf7d1f7b410570fbb67a0",
+    "checksum":
+        "29cc85245219d17ce908a09289001f97865689178ed6166d1d76c6852a26f82a",
+    "kv-insert":
+        "744e57d8fc58022b7f76eac48b7ef551e8eca017dd72dbcdd9d6fed5a0169c8c",
+    "kv-evict":
+        "37bb32916b6eb3f622ff584c4da34a0a3f257961b690e38d876f91bc64623b8d",
+    "nat-rewrite":
+        "711e08b883bf118140e92e5b03edc5cabf5f36663f901df03d1f3111f72ef578",
+    "lb-balance":
+        "25b619c02a9420baf4635346dc0ac448e0854375ba24ef3c140675ffdc2de60d",
+}
+
+CONTAINER_SNIPPET = """
+import hashlib
+from repro.filters.kv import KV_PROGRAMS, kv_packet_policy
+from repro.pcc import certify
+spec = {spec.name: spec for spec in KV_PROGRAMS}["kv-evict"]
+result = certify(spec.source, kv_packet_policy(),
+                 invariants=spec.invariants())
+print(hashlib.sha256(result.binary.to_bytes()).hexdigest())
+"""
+
+
+def _corpus() -> dict:
+    """name -> (source, policy factory, invariants or None)."""
+    corpus = {spec.name: (spec.source, packet_filter_policy, None)
+              for spec in FILTERS}
+    corpus["checksum"] = (CHECKSUM_SOURCE, checksum_policy,
+                          {CHECKSUM_LOOP_PC: checksum_invariant()})
+    for spec in KV_PROGRAMS:
+        corpus[spec.name] = (spec.source, kv_packet_policy,
+                             spec.invariants())
+    return corpus
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONTAINER_DIGESTS))
+def test_container_digest_is_pinned(name):
+    source, policy, invariants = _corpus()[name]
+    blob = certify(source, policy(), invariants=invariants).binary.to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == \
+        PINNED_CONTAINER_DIGESTS[name]
+
+
+def test_container_digest_is_hash_seed_independent():
+    """A corpus container certified in a subprocess under another
+    PYTHONHASHSEED must hash to its pinned digest."""
+    env = dict(os.environ)
+    current = env.get("PYTHONHASHSEED", "random")
+    env["PYTHONHASHSEED"] = "12345" if current != "12345" else "0"
+    src = Path(__file__).resolve().parents[2] / "src"
+    env["PYTHONPATH"] = str(src)
+    output = subprocess.run(
+        [sys.executable, "-c", CONTAINER_SNIPPET], env=env,
+        capture_output=True, text=True, check=True)
+    assert output.stdout.strip() == PINNED_CONTAINER_DIGESTS["kv-evict"]
 
 
 def _proposal():
