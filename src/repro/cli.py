@@ -480,21 +480,41 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rules(args: argparse.Namespace) -> int:
-    """Print the published rule set Delta — the consumer's proof logic."""
-    from repro.proof.rules import RULES
-    from repro.lf.signature import SIGNATURE
+def _lf_text(term, names: tuple = ()) -> str:
+    """An LF type as text, its binders named by their hints."""
+    from repro.lf.syntax import LfApp, LfPi, LfVar, spine
 
-    print(f"rule set Delta: {len(RULES)} rules "
-          f"(LF signature: {len(SIGNATURE.entries)} constants)\n")
-    for name in sorted(RULES):
-        doc = (RULES[name].__doc__ or "").strip().splitlines()
-        summary = doc[0] if doc else ""
-        entry = SIGNATURE.entries.get(name)
-        guarded = ""
-        if entry is not None and entry.side_condition is not None:
-            guarded = "  [computational side condition]"
-        print(f"  {name:18} {summary}{guarded}")
+    if isinstance(term, LfPi):
+        domain = _lf_text(term.dom, names)
+        if isinstance(term.dom, LfPi):
+            domain = f"({domain})"
+        body = _lf_text(term.cod, names + (term.hint,))
+        if term.hint == "_":
+            return f"{domain} → {body}"
+        return f"Π{term.hint}:{domain}. {body}"
+    if isinstance(term, LfApp):
+        head, args = spine(term)
+        return " ".join(
+            f"({_lf_text(part, names)})" if isinstance(part, (LfApp, LfPi))
+            else _lf_text(part, names) for part in (head, *args))
+    if isinstance(term, LfVar):
+        return names[-1 - term.index]
+    return str(getattr(term, "name", getattr(term, "value", term)))
+
+
+def _cmd_rules(args: argparse.Namespace) -> int:
+    """Print the published proof system: the LF signature's proof
+    constants, the consumer's proof logic."""
+    from repro.lf.signature import SIGNATURE
+    from repro.proof.encode import PROOF_CONSTANTS
+
+    rules = [SIGNATURE.entries[name] for name in PROOF_CONSTANTS]
+    guarded = sum(entry.side_condition is not None for entry in rules)
+    print(f"LF signature: {len(rules)} proof constants, {guarded} with a "
+          f"computational side condition (marked *)\n")
+    for entry in rules:
+        mark = "*" if entry.side_condition is not None else " "
+        print(f"{mark} {entry.name} : {_lf_text(entry.ty)}")
     return 0
 
 

@@ -416,8 +416,8 @@ def certify_incremental(base: bytes | PccBinary, source: str | Program,
     reconstructs (so the loader's content-addressed cache keys line up).
     Proofs are reused per obligation whose formula digest already has a
     stored (or base-harvested) subproof; everything fresh is proved with
-    the ordinary :class:`~repro.prover.Prover` and replayed rule by rule
-    as it is encoded, before it is stored.  Raises
+    the ordinary :class:`~repro.prover.Prover` and read step by step off
+    the LF signature as it is encoded, before it is stored.  Raises
     :class:`CertificationError` on prover failure — i.e. an unsafe
     changed block fails certification exactly as the from-scratch path
     would.
@@ -464,7 +464,7 @@ def certify_incremental(base: bytes | PccBinary, source: str | Program,
                 reused += 1
                 term_digest = bound
             else:
-                # Encoding replays the proof's rules against the
+                # Encoding matches each proof step against the
                 # obligation; the LF type check runs at validation.
                 term = encode_proof(Prover().prove(part), part)
                 blob = frame_sections(*serialize_lf(term))

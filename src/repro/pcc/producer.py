@@ -3,9 +3,10 @@
 :func:`certify` takes assembly source (or a parsed program), a safety
 policy, and optional loop invariants; it computes the safety predicate,
 proves it with the automatic prover, encodes the proof in LF and packs the
-PCC binary.  The encoder replays every rule of the proof against the
-predicate, so a wrong proof fails here instead of shipping (the paper's
-producer has every incentive to ship only valid proofs).
+PCC binary.  The encoder matches every step of the proof, read off its LF
+signature constant, against the predicate, so a proof of the wrong goal
+fails here instead of shipping (the paper's producer has every incentive
+to ship only valid proofs).
 """
 
 from __future__ import annotations

@@ -1,24 +1,40 @@
-"""Encoding natural-deduction proofs as LF objects (the producer's side).
+"""Proof steps read off the LF signature, and their encoding as LF objects.
 
-:func:`encode_proof` maps a proof of a goal to an LF object whose type is
-``pf (encoding of the goal)``.  It replays the rule functions of
-:mod:`repro.proof.rules` top-down to learn each premise's goal, so it stays
-mechanically in sync with the rule set, and every proof the producer ships
-has been replayed rule by rule.  The consumer never runs this: it
-type-checks the LF object it receives (:mod:`repro.lf.typecheck`).
+The LF signature (:mod:`repro.lf.signature`) is the published proof
+system: each proof constant's Π-type states what the step concludes and
+what its premises must prove, and nothing here restates a rule.
+:func:`instantiate` reads one step off its constant's type; the prover
+builds every step through it and checks it with the constant's own side
+condition (:func:`side_condition_holds`), and :func:`encode_proof` folds
+it over a proof tree to build the LF object that ships.  The consumer
+never runs this: it type-checks that object (:mod:`repro.lf.typecheck`).
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.errors import LfError, ProofError
 from repro.lf.encode import (
+    _CONNECTIVES,
     Env,
     _var_ref,
     encode_formula,
     encode_term,
     is_memory_var,
 )
-from repro.lf.syntax import LfApp, LfConst, LfInt, LfLam, LfTerm, lf_app
+from repro.lf.signature import SIGNATURE
+from repro.lf.syntax import (
+    LfApp,
+    LfConst,
+    LfInt,
+    LfLam,
+    LfPi,
+    LfTerm,
+    LfVar,
+    lf_app,
+    spine,
+)
 from repro.logic.formulas import (
     And,
     Atom,
@@ -28,73 +44,295 @@ from repro.logic.formulas import (
     Implies,
     Or,
     Truth,
-    conj,
     formula_vars,
 )
-from repro.logic.terms import App, Int, Term, Var, term_vars
+from repro.logic.subst import subst_formula
+from repro.logic.terms import App, Int, OPS, Term, Var, term_vars
 from repro.proof.proofs import Proof
-from repro.proof.rules import RULES
 
-_TM = LfConst("tm")
 _MEM = LfConst("mem")
+_FORM = LfConst("form")
+_CERT = LfConst("cert")
 _PF = LfConst("pf")
 
+#: LF constant -> the formula class it encodes (the quantifiers aside).
+_FORMULAS = {"true": Truth, "false": Falsity, **_CONNECTIVES}
+_NAMES = {cls: name for name, cls in _FORMULAS.items()}
 
-def _pf(formula_lf: LfTerm) -> LfTerm:
-    return LfApp(_PF, formula_lf)
+#: The level of a premise's own eigenvariable (``Πx:tm. pf (P x)``).
+_BOUND = -1
 
 
-def _proof_references(proof: Proof, cache: dict) -> tuple:
-    """(hypothesis labels, variable names) referenced anywhere in
-    ``proof`` — from hyp rules and from rule parameters (witness terms,
-    templates, premise atoms).  DAG-aware and cached per node."""
-    cached = cache.get(id(proof))
-    if cached is not None:
-        return cached
-    labels: set[str] = set()
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack = [proof]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
+def _is_pf(term: LfTerm) -> bool:
+    return isinstance(term, LfApp) and term.fn == _PF
+
+
+def _pattern(term: LfTerm, levels: list) -> tuple:
+    """A formula or term of a Π-type as a pattern over the step's
+    arguments.  ``levels`` holds, per enclosing binder (outermost first),
+    the index of the argument it binds."""
+    head, args = spine(term)
+    if isinstance(head, LfVar):
+        ref = levels[len(levels) - 1 - head.index]
+        if args:
+            return ("apply", ref, _pattern(args[0], levels))
+        return ("bound",) if ref == _BOUND else ("arg", ref)
+    if isinstance(head, LfInt):
+        return ("int", head.value)
+    return ("const", head.name,
+            tuple(_pattern(arg, levels) for arg in args))
+
+
+class _Telescope(NamedTuple):
+    """A proof constant's Π-type, split into its parts."""
+
+    #: The non-proof binders' domains (``tm``, ``form``, ``tm → form``...).
+    sorts: tuple
+    #: Per premise: ``("plain", A, None)``, ``("hyp", A, B)`` for
+    #: ``pf A → pf B`` or ``("eigen", sort, P)`` for ``Πx:sort. pf (P x)``.
+    premises: tuple
+    conclusion: tuple
+    #: Premises that bind a hypothesis label or an eigenvariable.
+    binding: int
+    #: The match skips ``p t``, so the built conclusion is compared.
+    compare: bool
+
+
+def _telescope(name: str, ty: LfTerm) -> _Telescope | None:
+    """The Π-type ``ty`` of the constant ``name``, split into its parts;
+    None unless it concludes ``pf``."""
+    levels, sorts, premises = [], [], []
+    while isinstance(ty, LfPi):
+        dom, ty = ty.dom, ty.cod
+        if _is_pf(dom):
+            premises.append(("plain", _pattern(dom.arg, levels), None))
+        elif isinstance(dom, LfPi) and _is_pf(dom.dom):
+            premises.append(("hyp", _pattern(dom.dom.arg, levels),
+                             _pattern(dom.cod.arg, levels + [None])))
+        elif isinstance(dom, LfPi) and _is_pf(dom.cod):
+            premises.append(("eigen", dom.dom, _pattern(
+                dom.cod.arg, levels + [_BOUND])))
+        else:
+            # The fold emits the arguments, then the premises.
+            assert not premises, f"{name}: a term binder after a premise"
+            levels.append(len(sorts))
+            sorts.append(dom)
             continue
-        seen.add(id(node))
-        if node.rule == "hyp" and node.params:
-            labels.add(node.params[0])
-        for param in node.params:
-            if isinstance(param, (Int, Var, App)):
-                names |= term_vars(param)
-            elif isinstance(param, (Truth, Falsity, And, Or, Implies,
-                                    Forall, Atom)):
-                names |= formula_vars(param)
-        stack.extend(node.premises)
-    result = (frozenset(labels), frozenset(names))
-    cache[id(proof)] = result
-    return result
+        levels.append(None)
+    if not _is_pf(ty):
+        return None
+    conclusion = _pattern(ty.arg, levels)
+    return _Telescope(tuple(sorts), tuple(premises), conclusion,
+                      sum(kind != "plain" for kind, __, __ in premises),
+                      _applies(conclusion))
+
+
+def _applies(pattern: tuple) -> bool:
+    """Does ``pattern`` apply a predicate argument to a term?"""
+    return pattern[0] == "apply" or (
+        pattern[0] == "const" and any(map(_applies, pattern[2])))
+
+
+#: The signature's proof constants (Π-types concluding ``pf``), in
+#: declaration order, each with its parsed type.
+_TELESCOPES = {name: telescope for name, entry in SIGNATURE.entries.items()
+               if (telescope := _telescope(name, entry.ty)) is not None}
+PROOF_CONSTANTS = tuple(_TELESCOPES)
+
+
+def _split(node) -> tuple[str | None, tuple]:
+    """A formula or term as the LF constant that heads its encoding and
+    the children it is applied to (a quantifier's is the whole
+    :class:`Forall`, its predicate)."""
+    if isinstance(node, App):
+        return node.op, node.args
+    if isinstance(node, Atom):
+        return node.pred, node.args
+    if isinstance(node, Forall):
+        return ("allm" if is_memory_var(node.var) else "all"), (node,)
+    if isinstance(node, (And, Or, Implies)):
+        return _NAMES[type(node)], (node.left, node.right)
+    return _NAMES.get(type(node)), ()
+
+
+def _match(pattern: tuple, node, args: list) -> bool:
+    """First-order match of ``pattern`` against ``node``, binding
+    ``args``; a predicate applied to a term matches anything."""
+    tag = pattern[0]
+    if tag == "arg":
+        bound = args[pattern[1]]
+        if bound is None:
+            args[pattern[1]] = node
+            return True
+        return bound == node
+    if tag == "int":
+        return isinstance(node, Int) and node.value == pattern[1]
+    if tag == "apply":
+        return True
+    name, children = _split(node)
+    return (name == pattern[1] and len(children) == len(pattern[2])
+            and all(_match(part, child, args)
+                    for part, child in zip(pattern[2], children)))
+
+
+def _build(pattern: tuple, args: list, eigen: str | None = None):
+    """The formula or term ``pattern`` denotes under ``args``."""
+    tag = pattern[0]
+    if tag == "arg":
+        return args[pattern[1]]
+    if tag == "int":
+        return Int(pattern[1])
+    if tag == "bound":
+        return Var(eigen)
+    if tag == "apply":
+        predicate = args[pattern[1]]
+        return subst_formula(predicate.body, {
+            predicate.var: _build(pattern[2], args, eigen)})
+    __, name, parts = pattern
+    built = tuple(_build(part, args, eigen) for part in parts)
+    if name in ("all", "allm"):
+        return built[0]
+    if name in _FORMULAS:
+        return _FORMULAS[name](*built)
+    return App(name, built) if name in OPS else Atom(name, built)
+
+
+def _fits(sort: LfTerm, value) -> bool:
+    if sort == _FORM:
+        return isinstance(value, Formula)
+    if sort == _CERT:
+        return isinstance(value, tuple)
+    if isinstance(sort, LfPi):
+        return (isinstance(value, Forall)
+                and is_memory_var(value.var) == (sort.dom == _MEM))
+    return isinstance(value, Term)
+
+
+def instantiate(name: str, goal: Formula,
+                params: tuple) -> tuple[list, list[tuple]]:
+    """Read one proof step off the Π-type of the signature constant
+    ``name``: its arguments, in Π order, and its premise obligations.
+
+    The conclusion is matched against ``goal``; the arguments it leaves
+    open come from ``params`` in Π order, followed by one hypothesis label
+    or eigenvariable name per premise that binds one.  A predicate
+    argument is a :class:`Forall`, applied by substituting for its bound
+    variable.  An obligation is ``(goal, None, None)``, ``(B, label, A)``
+    for ``pf A → pf B`` or ``(P x, x, sort)`` for ``Πx:sort. pf (P x)``.
+    Raises :class:`ProofError` when the step does not prove ``goal``.
+    """
+    telescope = _TELESCOPES.get(name)
+    if telescope is None:
+        raise ProofError(f"unknown rule {name!r}")
+    args: list = [None] * len(telescope.sorts)
+    if not _match(telescope.conclusion, goal, args):
+        raise ProofError(f"{name}: goal does not match the conclusion")
+    open_args = [index for index, value in enumerate(args) if value is None]
+    expected = len(open_args) + telescope.binding
+    if len(params) != expected:
+        raise ProofError(
+            f"{name}: expected {expected} parameters, got {len(params)}")
+    for index, value in zip(open_args, params):
+        if not _fits(telescope.sorts[index], value):
+            raise ProofError(f"{name}: parameter {index} has the wrong sort")
+        args[index] = value
+    names = iter(params[len(open_args):])
+    premises = []
+    for kind, first, second in telescope.premises:
+        if kind == "plain":
+            premises.append((_build(first, args), None, None))
+            continue
+        bound = next(names)
+        if not isinstance(bound, str):
+            raise ProofError(f"{name}: a binder name must be a string")
+        if kind == "hyp":
+            premises.append((_build(second, args), bound,
+                             _build(first, args)))
+        elif bound in formula_vars(goal):
+            raise ProofError(
+                f"{name}: eigenvariable {bound!r} occurs free in goal")
+        else:
+            premises.append((_build(second, args, bound), bound, first))
+    if telescope.compare and _build(telescope.conclusion, args) != goal:
+        raise ProofError(f"{name}: goal is not the stated instantiation")
+    return args, premises
+
+
+def _encode_arg(sort: LfTerm, value, env: Env, depth: int) -> LfTerm:
+    """Encode one step argument by its binder's declared sort."""
+    if sort == _FORM:
+        return encode_formula(value, env, depth)
+    if sort == _CERT:
+        certificate: LfTerm = LfConst("cnil")
+        for weight in reversed(value):
+            certificate = lf_app(LfConst("ccons"), LfInt(weight),
+                                 certificate)
+        return certificate
+    if isinstance(sort, LfPi):
+        inner = {**env, value.var: depth}
+        return LfLam(sort.dom, encode_formula(value.body, inner, depth + 1),
+                     hint=value.var)
+    return encode_term(value, env, depth)
+
+
+def _free_names(value) -> frozenset:
+    if isinstance(value, Term):
+        return term_vars(value)
+    if isinstance(value, Formula):
+        return formula_vars(value)
+    return frozenset()
+
+
+def side_condition_holds(name: str, args: list) -> bool:
+    """Run the side condition of ``name`` (if any) on a step's arguments,
+    encoded as the consumer sees them.  Free variables are bound in sorted
+    order, so the check is exactly the consumer's."""
+    entry = SIGNATURE.entries[name]
+    if entry.side_condition is None:
+        return True
+    names = sorted(frozenset().union(*map(_free_names, args)))
+    env = {free: level for level, free in enumerate(names)}
+    return entry.side_condition([
+        _encode_arg(sort, value, env, len(names))
+        for sort, value in zip(_TELESCOPES[name].sorts, args)])
+
+
+def references(proof: Proof, memo: dict) -> tuple:
+    """(hypothesis labels, variable names, proof) referenced anywhere in
+    ``proof``, from ``hyp`` steps and from step parameters; computed once
+    per node, bottom-up, into ``memo`` (keyed by node identity, each value
+    keeping its node alive)."""
+    cached = memo.get(id(proof))
+    if cached is None:
+        labels = frozenset(proof.params[:1] if proof.rule == "hyp" else ())
+        names = frozenset().union(*map(_free_names, proof.params))
+        for premise in proof.premises:
+            premise_labels, premise_names, __ = references(premise, memo)
+            labels |= premise_labels
+            names |= premise_names
+        cached = memo[id(proof)] = (labels, names, proof)
+    return cached
 
 
 class _ProofEncoder:
-    """Encodes a proof tree, replaying the rule functions top-down to learn
-    premise goals (exactly what the Delta checker does).
+    """Encodes a proof tree as a fold over :func:`instantiate`.
 
     Encoding is memoized per (proof identity, goal, binder depth, and the
     de Bruijn positions and formulas of the hypotheses, and the positions
     of the variables, the subproof references): proofs are DAGs
     (join-point subproofs shared across branch arms), and re-encoding per
-    path would be exponential.  A memo hit replays nothing, so, as in the
-    Delta checker's memo, the key holds the formulas of the hypotheses
-    the subproof uses.
+    path would be exponential.  A memo hit checks nothing, so the key
+    holds the formulas of the hypotheses the subproof uses.
     """
 
     def __init__(self) -> None:
         self._memo: dict = {}
-        self._labels: dict = {}
+        self._refs: dict = {}
 
     def encode(self, proof: Proof, goal: Formula, env: Env,
                hyp_env: Env, hyp_forms: dict[str, Formula],
                depth: int) -> LfTerm:
-        used_labels, used_names = _proof_references(proof, self._labels)
+        used_labels, used_names, __ = references(proof, self._refs)
         hyp_positions = tuple(sorted(
             (label, hyp_env[label], hyp_forms[label])
             for label in used_labels if label in hyp_env))
@@ -103,296 +341,67 @@ class _ProofEncoder:
             (name, env[name]) for name in relevant if name in env))
         key = (id(proof), goal, depth, hyp_positions, var_positions)
         cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._encode(proof, goal, env, hyp_env, hyp_forms, depth)
-        self._memo[key] = result
-        return result
+        if cached is None:
+            cached = self._memo[key] = self._encode(
+                proof, goal, env, hyp_env, hyp_forms, depth)
+        return cached
 
     def _encode(self, proof: Proof, goal: Formula, env: Env,
                 hyp_env: Env, hyp_forms: dict[str, Formula],
                 depth: int) -> LfTerm:
         rule = proof.rule
-        check = RULES.get(rule)
-        if check is None:
+        if rule == "hyp":
+            label = proof.params[0] if len(proof.params) == 1 else None
+            if not isinstance(label, str) or hyp_forms.get(label) != goal:
+                raise LfError(f"cannot encode invalid proof: hypothesis "
+                              f"{label!r} is out of scope or does not "
+                              f"match the goal")
+            return _var_ref(label, hyp_env, depth)
+        telescope = _TELESCOPES.get(rule)
+        if telescope is None:
             raise LfError(f"cannot encode unknown rule {rule!r}")
         try:
-            obligations = check(goal, proof.params, hyp_forms)
+            args, obligations = instantiate(rule, goal, proof.params)
         except ProofError as error:
             raise LfError(f"cannot encode invalid proof: {error}") from error
         if len(obligations) != len(proof.premises):
             raise LfError(f"rule {rule!r}: premise count mismatch")
-
-        def F(formula: Formula) -> LfTerm:
-            return encode_formula(formula, env, depth)
-
-        def T(term: Term) -> LfTerm:
-            return encode_term(term, env, depth)
-
-        def P(index: int) -> LfTerm:
-            subgoal, extra = obligations[index]
-            if extra:
-                raise LfError(f"rule {rule!r}: unexpected hypothetical "
-                              f"premise in plain position")
-            return self.encode(proof.premises[index], subgoal, env,
-                               hyp_env, hyp_forms, depth)
-
-        if rule == "truei":
-            return LfConst("truei")
-        if rule == "hyp":
-            label = proof.params[0]
-            return _var_ref(label, hyp_env, depth)
-        if rule == "andi":
-            assert isinstance(goal, And)
-            return lf_app(LfConst("andi"), F(goal.left), F(goal.right),
-                          P(0), P(1))
-        if rule == "andel":
-            right = proof.params[0]
-            return lf_app(LfConst("andel"), F(goal), F(right), P(0))
-        if rule == "ander":
-            left = proof.params[0]
-            return lf_app(LfConst("ander"), F(left), F(goal), P(0))
-        if rule == "impi":
-            assert isinstance(goal, Implies)
-            label = proof.params[0]
-            inner_hyp_env = dict(hyp_env)
-            inner_hyp_env[label] = depth
-            inner_forms = dict(hyp_forms)
-            inner_forms[label] = goal.left
-            body = self.encode(proof.premises[0], goal.right, env,
-                               inner_hyp_env, inner_forms, depth + 1)
-            return lf_app(LfConst("impi"), F(goal.left), F(goal.right),
-                          LfLam(_pf(F(goal.left)), body, hint=label))
-        if rule == "impe":
-            antecedent = proof.params[0]
-            return lf_app(LfConst("impe"), F(antecedent), F(goal),
-                          P(0), P(1))
-        if rule == "alli":
-            assert isinstance(goal, Forall)
-            eigen = proof.params[0]
-            memory = is_memory_var(goal.var)
-            quantifier = "alli_m" if memory else "alli"
-            sort = _MEM if memory else _TM
-            body_env = dict(env)
-            body_env[goal.var] = depth
-            predicate = LfLam(
-                sort, encode_formula(goal.body, body_env, depth + 1),
-                hint=goal.var)
-            subgoal, __ = obligations[0]
-            inner_env = dict(env)
-            inner_env[eigen] = depth
-            body = self.encode(proof.premises[0], subgoal, inner_env,
-                               hyp_env, hyp_forms, depth + 1)
-            return lf_app(LfConst(quantifier), predicate,
-                          LfLam(sort, body, hint=eigen))
-        if rule == "alle":
-            source, witness = proof.params
-            assert isinstance(source, Forall)
-            memory = is_memory_var(source.var)
-            quantifier = "alle_m" if memory else "alle"
-            sort = _MEM if memory else _TM
-            body_env = dict(env)
-            body_env[source.var] = depth
-            predicate = LfLam(
-                sort, encode_formula(source.body, body_env, depth + 1),
-                hint=source.var)
-            return lf_app(LfConst(quantifier), predicate, T(witness), P(0))
-        if rule == "ori1":
-            assert isinstance(goal, Or)
-            return lf_app(LfConst("ori1"), F(goal.left), F(goal.right),
-                          P(0))
-        if rule == "ori2":
-            assert isinstance(goal, Or)
-            return lf_app(LfConst("ori2"), F(goal.left), F(goal.right),
-                          P(0))
-        if rule == "ore":
-            left, right = proof.params
-            return lf_app(LfConst("ore"), F(left), F(right), F(goal),
-                          P(0), P(1), P(2))
-        if rule == "falsee":
-            return lf_app(LfConst("falsee"), F(goal), P(0))
-        if rule == "eqrefl":
-            assert isinstance(goal, Atom)
-            return lf_app(LfConst("eqrefl"), T(goal.args[0]))
-        if rule == "eqsym":
-            assert isinstance(goal, Atom)
-            a, b = goal.args
-            return lf_app(LfConst("eqsym"), T(b), T(a), P(0))
-        if rule == "eqtrans":
-            assert isinstance(goal, Atom)
-            middle = proof.params[0]
-            a, b = goal.args
-            return lf_app(LfConst("eqtrans"), T(a), T(middle), T(b),
-                          P(0), P(1))
-        if rule == "eqsub":
-            template, hole, a, b = proof.params
-            body_env = dict(env)
-            body_env[hole] = depth
-            predicate = LfLam(
-                _TM, encode_formula(template, body_env, depth + 1),
-                hint=hole)
-            return lf_app(LfConst("eqsub"), predicate, T(a), T(b),
-                          P(0), P(1))
-        if rule == "arith_eval":
-            return lf_app(LfConst("arith_eval"), F(goal))
-        if rule == "mod_word":
-            assert isinstance(goal, Atom)
-            return lf_app(LfConst("mod_word"), T(goal.args[1]))
-        if rule == "norm_mod_eq":
-            assert isinstance(goal, Atom)
-            left, right = goal.args
-            assert isinstance(left, App) and isinstance(right, App)
-            return lf_app(LfConst("norm_mod_eq"), T(left.args[0]),
-                          T(right.args[0]))
-        if rule == "word_ge0":
-            assert isinstance(goal, Atom)
-            return lf_app(LfConst("word_ge0"), T(goal.args[0]))
-        if rule == "word_lt_mod":
-            assert isinstance(goal, Atom)
-            return lf_app(LfConst("word_lt_mod"), T(goal.args[0]))
-        if rule in ("cmpult_true", "cmpult_false", "cmpule_true",
-                    "cmpule_false", "cmpeq_true", "cmpeq_false"):
-            a, b = proof.params
-            return lf_app(LfConst(rule), T(a), T(b), P(0))
-        if rule in ("add64_exact", "sub64_exact"):
-            assert isinstance(goal, Atom)
-            machine = goal.args[0]
-            assert isinstance(machine, App)
-            a, b = machine.args
-            return lf_app(LfConst(rule), T(a), T(b), P(0), P(1), P(2))
-        if rule == "and_ubound":
-            assert isinstance(goal, Atom)
-            masked = goal.args[0]
-            assert isinstance(masked, App)
-            return lf_app(LfConst(rule), T(masked.args[0]),
-                          T(masked.args[1]))
-        if rule == "and_mask_disjoint":
-            assert isinstance(goal, Atom)
-            outer = goal.args[0]
-            assert isinstance(outer, App)
-            inner = outer.args[0]
-            assert isinstance(inner, App)
-            return lf_app(LfConst(rule), T(inner.args[0]),
-                          T(inner.args[1]), T(outer.args[1]))
-        if rule == "add_align":
-            assert isinstance(goal, Atom)
-            masked = goal.args[0]
-            assert isinstance(masked, App)
-            summed = masked.args[0]
-            assert isinstance(summed, App)
-            return lf_app(LfConst(rule), T(summed.args[0]),
-                          T(summed.args[1]), T(masked.args[1]), P(0), P(1))
-        if rule == "srl_bound":
-            assert isinstance(goal, Atom)
-            shifted = goal.args[0]
-            assert isinstance(shifted, App)
-            return lf_app(LfConst(rule), T(shifted.args[0]),
-                          T(shifted.args[1]), T(goal.args[1]))
-        if rule == "ext_bound":
-            assert isinstance(goal, Atom)
-            extracted = goal.args[0]
-            assert isinstance(extracted, App)
-            constant = LfConst(f"{extracted.op}_bound")
-            return lf_app(constant, T(extracted.args[0]),
-                          T(extracted.args[1]), T(goal.args[1]))
-        if rule == "sll_align":
-            assert isinstance(goal, Atom)
-            masked = goal.args[0]
-            assert isinstance(masked, App)
-            shifted = masked.args[0]
-            assert isinstance(shifted, App)
-            return lf_app(LfConst(rule), T(shifted.args[0]),
-                          T(shifted.args[1]), T(masked.args[1]))
-        if rule == "sll_ubound":
-            assert isinstance(goal, Atom)
-            shifted = goal.args[0]
-            assert isinstance(shifted, App)
-            a, k = shifted.args
-            m = proof.params[0]
-            return lf_app(LfConst(rule), T(a), T(k), T(m),
-                          T(goal.args[1]), P(0), P(1))
-        if rule == "shift_trunc_le":
-            assert isinstance(goal, Atom)
-            shifted = goal.args[0]
-            assert isinstance(shifted, App)
-            inner, k = shifted.args
-            assert isinstance(inner, App)
-            return lf_app(LfConst(rule), T(inner.args[0]), T(k))
-        if rule == "sll_lt_of_srl":
-            assert isinstance(goal, Atom)
-            shifted = goal.args[0]
-            assert isinstance(shifted, App)
-            a, k = shifted.args
-            b = proof.params[0]
-            return lf_app(LfConst(rule), T(a), T(k), T(b), P(0))
-        if rule == "or_disjoint":
-            assert isinstance(goal, Atom)
-            ored = goal.args[0]
-            assert isinstance(ored, App)
-            masked, b = ored.args
-            assert isinstance(masked, App)
-            x, c = masked.args
-            return lf_app(LfConst(rule), T(x), T(c), T(b), P(0))
-        if rule == "and_submask":
-            assert isinstance(goal, Atom)
-            masked = goal.args[0]
-            assert isinstance(masked, App)
-            a, narrow = masked.args
-            wide = proof.params[0]
-            return lf_app(LfConst(rule), T(a), T(wide), T(narrow), P(0))
-        if rule in ("sel_upd_same", "sel_upd_other"):
-            assert isinstance(goal, Atom)
-            read = goal.args[0]
-            assert isinstance(read, App)
-            updated, read_addr = read.args
-            assert isinstance(updated, App)
-            memory, write_addr, value = updated.args
-            return lf_app(LfConst(rule), encode_term(memory, env, depth),
-                          T(write_addr), T(value), T(read_addr), P(0))
-        if rule == "cmp_bool":
-            assert isinstance(goal, Or)
-            zero_side = goal.left
-            assert isinstance(zero_side, Atom)
-            flag = zero_side.args[0]
-            assert isinstance(flag, App)
-            return lf_app(LfConst(f"{flag.op}_bool"),
-                          T(flag.args[0]), T(flag.args[1]))
-        if rule == "linarith":
-            premises = list(proof.params[:-1])
-            certificate = LfConst("cnil")
-            for weight in reversed(proof.params[-1]):
-                certificate = lf_app(LfConst("ccons"), LfInt(weight),
-                                     certificate)
-            conj_proof = self._conjunction_proof(
-                premises, [P(i) for i in range(len(premises))], env, depth)
-            return lf_app(LfConst("linarith"), F(conj(premises)), F(goal),
-                          certificate, conj_proof)
-        raise LfError(f"no LF encoding for rule {rule!r}")
-
-    def _conjunction_proof(self, formulas: list[Formula],
-                           proofs: list[LfTerm], env: Env,
-                           depth: int) -> LfTerm:
-        """Combine proofs of each formula into a proof of their right-nested
-        conjunction, mirroring :func:`repro.logic.formulas.conj`."""
-        if not formulas:
-            return LfConst("truei")
-        if len(formulas) == 1:
-            return proofs[0]
-        rest = conj(formulas[1:])
-        rest_proof = self._conjunction_proof(formulas[1:], proofs[1:],
-                                             env, depth)
-        return lf_app(LfConst("andi"),
-                      encode_formula(formulas[0], env, depth),
-                      encode_formula(rest, env, depth),
-                      proofs[0], rest_proof)
+        encoded = [_encode_arg(sort, value, env, depth)
+                   for sort, value in zip(telescope.sorts, args)]
+        for premise, (subgoal, name, assumed) in zip(proof.premises,
+                                                     obligations):
+            if name is None:
+                encoded.append(self.encode(premise, subgoal, env, hyp_env,
+                                           hyp_forms, depth))
+                continue
+            inner_env, inner_hyps, inner_forms = env, hyp_env, hyp_forms
+            if isinstance(assumed, Formula):  # pf A → pf B
+                if name in hyp_env:
+                    raise LfError(f"cannot encode invalid proof: hypothesis "
+                                  f"label {name!r} already in scope")
+                domain = LfApp(_PF, encode_formula(assumed, env, depth))
+                inner_hyps = {**hyp_env, name: depth}
+                inner_forms = {**hyp_forms, name: assumed}
+            else:  # Πx:sort. pf (P x)
+                if any(name in formula_vars(formula)
+                       for formula in hyp_forms.values()):
+                    raise LfError(f"cannot encode invalid proof: "
+                                  f"eigenvariable {name!r} occurs in a "
+                                  f"hypothesis")
+                domain, inner_env = assumed, {**env, name: depth}
+            body = self.encode(premise, subgoal, inner_env, inner_hyps,
+                               inner_forms, depth + 1)
+            encoded.append(LfLam(domain, body, hint=name))
+        return lf_app(LfConst(rule), *encoded)
 
 
 def encode_proof(proof: Proof, goal: Formula) -> LfTerm:
     """Encode a closed proof of ``goal`` as an LF object.
 
-    The encoder replays every rule application top-down, so a proof of
-    another goal, an unknown rule, a wrong premise count or parameters a
-    rule rejects raise :class:`LfError`.  The result's LF type is
-    ``pf (encode_formula(goal))``.
+    Every step is read off its constant's Π-type against the goal it must
+    prove, so a proof of another goal, an unknown constant, a wrong
+    premise count or a hypothesis out of scope raise :class:`LfError`.
+    Side conditions are the prover's and the consumer's to check.  The
+    result's LF type is ``pf (encode_formula(goal))``.
     """
     return _ProofEncoder().encode(proof, goal, {}, {}, {}, 0)

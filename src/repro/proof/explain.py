@@ -1,10 +1,10 @@
 """Human-readable proof rendering (the paper's Figure 6, as text).
 
-The checker validates proofs top-down by recomputing every premise's
-goal; :func:`explain_proof` does the same walk but renders it, producing
-the rule-and-goal tree the paper draws for SP_r.  Shared subproofs are
-printed once and referenced afterwards, mirroring how they are stored
-and transmitted.
+:func:`explain_proof` reads every step off its signature constant with
+:func:`repro.proof.encode.instantiate`, as the encoder does, and renders
+the walk: the rule-and-goal tree the paper draws for SP_r.  Shared
+subproofs are printed once and referenced afterwards, mirroring how they
+are stored and transmitted.
 """
 
 from __future__ import annotations
@@ -12,16 +12,16 @@ from __future__ import annotations
 from repro.errors import ProofError
 from repro.logic.formulas import Formula
 from repro.logic.pretty import pp_formula
+from repro.proof.encode import instantiate
 from repro.proof.proofs import Proof
-from repro.proof.rules import RULES
 
 
 def explain_proof(proof: Proof, goal: Formula,
                   max_depth: int = 12, max_width: int = 96) -> str:
     """Render the proof of ``goal`` as an indented rule tree.
 
-    Raises :class:`ProofError` if the proof does not actually prove the
-    goal (rendering replays the rule functions, so it doubles as a
+    Raises :class:`ProofError` if a step does not prove its goal
+    (rendering reads each step off the signature, so it doubles as a
     check).  Deep subtrees are elided with ``...`` past ``max_depth``.
     """
     lines: list[str] = []
@@ -41,10 +41,12 @@ def explain_proof(proof: Proof, goal: Formula,
             lines.append(f"{indent}[see #{reference}] "
                          f"{clip(pp_formula(node_goal))}")
             return
-        rule = RULES.get(node.rule)
-        if rule is None:
-            raise ProofError(f"unknown rule {node.rule!r}")
-        obligations = rule(node_goal, node.params, hyps)
+        obligations = []
+        if node.rule != "hyp":
+            __, obligations = instantiate(node.rule, node_goal, node.params)
+        elif hyps.get(node.params[0] if node.params else None) != node_goal:
+            raise ProofError(f"hypothesis {node.params!r} does not match "
+                             f"the goal")
         if len(obligations) != len(node.premises):
             raise ProofError(f"rule {node.rule!r}: premise count mismatch")
         label = ""
@@ -58,12 +60,13 @@ def explain_proof(proof: Proof, goal: Formula,
             if node.premises:
                 lines.append(f"{indent}  ...")
             return
-        for premise, (subgoal, extra) in zip(node.premises, obligations):
-            inner = dict(hyps)
-            inner.update(extra)
-            for name, formula in extra.items():
+        for premise, (subgoal, name, assumed) in zip(node.premises,
+                                                     obligations):
+            inner = hyps
+            if isinstance(assumed, Formula):
+                inner = {**hyps, name: assumed}
                 lines.append(f"{indent}  [{name}: "
-                             f"{clip(pp_formula(formula))}]")
+                             f"{clip(pp_formula(assumed))}]")
             walk(premise, subgoal, inner, depth + 1)
 
     walk(proof, goal, {}, 0)

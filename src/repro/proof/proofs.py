@@ -1,12 +1,13 @@
 """Natural-deduction proof trees.
 
-A :class:`Proof` node names an inference rule, carries the rule-specific
-parameters (terms, formulas, hypothesis labels), and holds the subproofs of
-the rule's premises.  Proofs say nothing about what they prove — the goal is
-supplied externally and the checker verifies the match — which is exactly
-the paper's arrangement: the consumer computes the safety predicate itself
-and checks the received proof against it, so a proof of the wrong predicate
-is useless to an attacker.
+A :class:`Proof` node names an LF signature constant (or ``hyp``, a
+hypothesis in scope), carries the parameters its conclusion leaves open
+(terms, formulas, hypothesis labels), and holds the subproofs of its
+premises.  Proofs say nothing about what they prove — the goal is supplied
+externally and each step is matched against it — which is exactly the
+paper's arrangement: the consumer computes the safety predicate itself and
+checks the received proof against it, so a proof of the wrong predicate is
+useless to an attacker.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from dataclasses import dataclass, field
 class Proof:
     """One inference step: ``rule`` applied to ``premises`` with ``params``.
 
-    ``params`` content is rule-specific; see :mod:`repro.proof.rules` for
-    each rule's expectations.  Proof objects are immutable and freely
-    shared — large safety-predicate proofs reuse subproofs heavily, which
-    both the size accounting and the LF encoder preserve.
+    ``params`` are the arguments the constant's conclusion leaves open, in
+    Π order, then one hypothesis label or eigenvariable name per premise
+    that binds one (:func:`repro.proof.encode.instantiate`).  A ``hyp``
+    step's one parameter is the label.  Proof objects are immutable and
+    freely shared — large safety-predicate proofs reuse subproofs heavily,
+    which both the size accounting and the LF encoder preserve.
     """
 
     rule: str

@@ -1,8 +1,8 @@
 """Arithmetic helpers for the prover: matching, linear forms, enrichment.
 
 These are *search* utilities — nothing here is trusted.  Every proof step
-they suggest is re-validated by the rule functions in
-:mod:`repro.proof.rules` before the prover commits to it.
+they suggest is read off its LF signature constant and checked with the
+constant's side condition before the prover commits to it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Goal-directed proof search over the rule set Delta.
+"""Goal-directed proof search over the LF signature's proof constants.
 
 The prover maintains a *fact database*: formulas currently known, each
 paired with the proof that derives it from the hypotheses in scope.
@@ -12,10 +12,11 @@ Design constraints worth knowing:
 * **Determinism** — certification must be reproducible, so candidate facts
   are tried in sorted pretty-printed order and fresh names come from a
   counter.
-* **Every step is validated immediately** — schemas are applied through
-  :func:`_apply`, which runs the trusted rule function and proves the
-  side obligations recursively; the prover therefore cannot emit a proof
-  the checker would reject.
+* **Every step is validated immediately** — :meth:`Prover._apply` reads
+  a schema step off its signature constant's Π-type, runs the constant's
+  own side condition as the consumer will, and proves the premises
+  recursively; the prover therefore cannot emit a step the checker would
+  reject.
 * **Failure is cheap** — strategies raise/return None and the next one
   runs; :class:`repro.errors.ProverError` surfaces only at the top with
   the unprovable subgoal, which in practice points at the offending
@@ -28,8 +29,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from repro.errors import ProofError, ProverError
+from repro.errors import LfError, ProofError, ProverError
 from repro.lf.arith import _constraints_of, _linear_form, linarith_rows
+from repro.lf.encode import is_memory_var
 from repro.logic.formulas import (
     And,
     Atom,
@@ -39,6 +41,7 @@ from repro.logic.formulas import (
     Implies,
     Or,
     Truth,
+    conj,
     eq,
     formula_vars,
     ge,
@@ -55,8 +58,8 @@ from repro.logic.terms import (
     WORD_MOD,
     all_subterms,
 )
+from repro.proof.encode import instantiate, references, side_condition_holds
 from repro.proof.proofs import Proof
-from repro.proof.rules import RULES
 from repro.prover.arith import (
     is_linear_atom,
     is_word_valued,
@@ -68,14 +71,14 @@ _MAX_DEPTH = 160
 _HOLE = "?hole"
 
 #: Saturation of Alpha compare-flag hypotheses into arithmetic facts:
-#: (flag operator, hypothesis predicate) -> rule name.
+#: (flag operator, hypothesis predicate) -> (rule, conclusion predicate).
 _FLAG_RULES = {
-    ("cmpult", "ne"): "cmpult_true",
-    ("cmpult", "eq"): "cmpult_false",
-    ("cmpule", "ne"): "cmpule_true",
-    ("cmpule", "eq"): "cmpule_false",
-    ("cmpeq", "ne"): "cmpeq_true",
-    ("cmpeq", "eq"): "cmpeq_false",
+    ("cmpult", "ne"): ("cmpult_true", "lt"),
+    ("cmpult", "eq"): ("cmpult_false", "ge"),
+    ("cmpule", "ne"): ("cmpule_true", "le"),
+    ("cmpule", "eq"): ("cmpule_false", "gt"),
+    ("cmpeq", "ne"): ("cmpeq_true", "eq"),
+    ("cmpeq", "eq"): ("cmpeq_false", "ne"),
 }
 
 
@@ -141,22 +144,6 @@ def _collect_subterms(atoms, into: set) -> None:
         into.add(term)
         if isinstance(term, App):
             stack.extend(term.args)
-
-
-def _hyp_labels(proof: Proof) -> frozenset:
-    """All hypothesis labels a proof references (shared nodes once)."""
-    labels: set[str] = set()
-    seen: set[int] = set()
-    stack = [proof]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.rule == "hyp":
-            labels.add(node.params[0])
-        stack.extend(node.premises)
-    return frozenset(labels)
 
 
 def _replace_term(term: Term, old: Term, new: Term) -> Term:
@@ -259,6 +246,8 @@ class Prover:
         # referenced hypotheses (adding hypotheses cannot invalidate a
         # proof, and labels are globally unique).
         self._success_cache: dict[Formula, tuple[Proof, frozenset]] = {}
+        self._references: dict = {}
+        self._steps: dict = {}
 
     # -- public entry ------------------------------------------------------
 
@@ -307,38 +296,42 @@ class Prover:
         if (atom.pred in ("eq", "ne") and atom.args[1] == Int(0)
                 and isinstance(atom.args[0], App)):
             flag = atom.args[0]
-            rule = _FLAG_RULES.get((flag.op, atom.pred))
-            if rule is not None:
-                a, b = flag.args
-                conclusion = self._flag_conclusion(rule, a, b)
-                derived = Proof(rule, (a, b), (proof,))
-                self.facts.setdefault(conclusion, derived)
-
-    @staticmethod
-    def _flag_conclusion(rule: str, a: Term, b: Term) -> Atom:
-        pred = {"cmpult_true": "lt", "cmpult_false": "ge",
-                "cmpule_true": "le", "cmpule_false": "gt",
-                "cmpeq_true": "eq", "cmpeq_false": "ne"}[rule]
-        return Atom(pred, (App("mod64", (a,)), App("mod64", (b,))))
+            saturation = _FLAG_RULES.get((flag.op, atom.pred))
+            if saturation is not None:
+                rule, pred = saturation
+                conclusion = Atom(pred, tuple(App("mod64", (arg,))
+                                              for arg in flag.args))
+                self.facts.setdefault(conclusion,
+                                      Proof(rule, (), (proof,)))
 
     # -- schema application --------------------------------------------------
 
     def _apply(self, rule: str, goal: Formula, params: tuple,
                depth: int) -> Proof | None:
-        """Apply a rule whose premises the prover must itself prove.
+        """Apply a signature constant whose premises the prover must
+        itself prove.
 
-        Runs the trusted rule function to get the premise obligations, then
-        proves each recursively.  Returns None (never raises) on failure.
+        Reads the step off the constant's Π-type, runs its side condition
+        as the consumer will, then proves each premise recursively.
+        Returns None (never raises) on failure.
         """
         if depth > _MAX_DEPTH:
             return None
-        try:
-            obligations = RULES[rule](goal, params, self.facts)
-        except ProofError:
+        # A step's obligations depend on nothing but the step.
+        obligations = self._steps.get((rule, goal, params))
+        if obligations is None:
+            try:
+                args, obligations = instantiate(rule, goal, params)
+                if not side_condition_holds(rule, args):
+                    obligations = False
+            except (LfError, ProofError):
+                obligations = False
+            self._steps[rule, goal, params] = obligations
+        if obligations is False:
             return None
         premises = []
-        for subgoal, extra in obligations:
-            if extra:
+        for subgoal, binds, __ in obligations:
+            if binds is not None:
                 return None  # schemas never introduce hypotheses
             premise = self._prove(subgoal, depth + 1)
             if premise is None:
@@ -368,7 +361,8 @@ class Prover:
         if proof is None:
             self._fail_cache.add(goal)
         else:
-            self._success_cache[goal] = (proof, _hyp_labels(proof))
+            labels = references(proof, self._references)[0]
+            self._success_cache[goal] = (proof, labels)
         return proof
 
     def _prove_structural(self, goal: Formula, depth: int) -> Proof | None:
@@ -403,11 +397,13 @@ class Prover:
             inner = self._prove(body, depth)
             if inner is None:
                 return None
-            return Proof("alli", (eigen,), (inner,))
+            quantifier = "alli_m" if is_memory_var(goal.var) else "alli"
+            return Proof(quantifier, (eigen,), (inner,))
         if isinstance(goal, Or):
-            boolean = self._apply("cmp_bool", goal, (), depth)
-            if boolean is not None:
-                return boolean
+            for rule in ("cmpeq_bool", "cmpult_bool", "cmpule_bool"):
+                boolean = self._apply(rule, goal, (), depth)
+                if boolean is not None:
+                    return boolean
             left = self._prove(goal.left, depth + 1)
             if left is not None:
                 return Proof("ori1", (), (left,))
@@ -475,9 +471,10 @@ class Prover:
         direct = self.facts.get(goal)
         if direct is not None:
             return direct
-        ground = self._apply("arith_eval", goal, (), depth)
-        if ground is not None:
-            return ground
+        if not formula_vars(goal):  # arith_eval decides ground atoms
+            ground = self._apply("arith_eval", goal, (), depth)
+            if ground is not None:
+                return ground
         folded = self._prove_via_constant_folding(goal, depth)
         if folded is not None:
             return folded
@@ -548,7 +545,7 @@ class Prover:
         template = Atom(goal.pred,
                         tuple(_replace_term(arg, target, Var(_HOLE))
                               for arg in goal.args))
-        return Proof("eqsub", (template, _HOLE, literal, target),
+        return Proof("eqsub", (Forall(_HOLE, template), literal, target),
                      (Proof("eqsym", (), (eq_proof,)), inner))
 
     # -- equality ---------------------------------------------------------------
@@ -570,9 +567,10 @@ class Prover:
         if reverse is not None:
             return Proof("eqsym", (), (reverse,))
 
-        proof = self._apply("arith_eval", goal, (), depth)
-        if proof is not None:
-            return proof
+        if not formula_vars(goal):
+            proof = self._apply("arith_eval", goal, (), depth)
+            if proof is not None:
+                return proof
 
         # t mod 2^64 = t  (either orientation).
         proof = self._apply("mod_word", goal, (), depth)
@@ -714,7 +712,7 @@ class Prover:
             new_args = list(current.args)
             new_args[position] = b
             current = App(left.op, tuple(new_args))
-            proof = Proof("eqsub", (template, _HOLE, a, b),
+            proof = Proof("eqsub", (Forall(_HOLE, template), a, b),
                           (arg_eq, proof))
         if current != right:
             return None
@@ -735,7 +733,7 @@ class Prover:
                 if inner is not None:
                     template = Atom(goal.pred, (Var(_HOLE),))
                     return Proof(
-                        "eqsub", (template, _HOLE, added, address),
+                        "eqsub", (Forall(_HOLE, template), added, address),
                         (Proof("eqsym", (), (disjoint,)), inner))
         # 1. A matching fact, possibly modulo word equality.
         for fact in self._sorted_facts():
@@ -777,7 +775,7 @@ class Prover:
             hole_args = list(current_args)
             hole_args[position] = Var(_HOLE)
             template = Atom(goal.pred, tuple(hole_args))
-            proof = Proof("eqsub", (template, _HOLE, a, b),
+            proof = Proof("eqsub", (Forall(_HOLE, template), a, b),
                           (arg_eq, proof))
             current_args[position] = b
         return proof
@@ -860,7 +858,9 @@ class Prover:
             for index, name in enumerate(binders):
                 assert isinstance(source, Forall)
                 witness = assignment[name]
-                concluded = Proof("alle", (source, witness), (concluded,))
+                quantifier = "alle_m" if is_memory_var(name) else "alle"
+                concluded = Proof(quantifier, (source, witness),
+                                  (concluded,))
                 source = subst_formula(source.body, {name: witness})
             concluded = Proof("impe", (instantiated.left,),
                               (concluded, antecedent_proof))
@@ -968,8 +968,13 @@ class Prover:
             weight for weights in certificates
             for row, weight in enumerate(weights)
             if row >= len(owners) or owners[row] in kept)
-        return Proof("linarith", (*used, certificate),
-                     tuple(premises[premise] for premise in used))
+        # One premise: the conjunction of the used facts, proved by an
+        # andi chain nested as conj nests it.
+        proofs = [premises[premise] for premise in used]
+        conjunction = proofs[-1] if proofs else Proof("truei")
+        for proof in reversed(proofs[:-1]):
+            conjunction = Proof("andi", (), (proof, conjunction))
+        return Proof("linarith", (conj(used), certificate), (conjunction,))
 
     def _facts_contradictory(self, candidates: dict[Atom, Proof]) -> bool:
         """True when the linear facts in scope are jointly infeasible (a
@@ -1013,7 +1018,7 @@ class Prover:
         if term.op in ("extbl", "extwl", "extll"):
             bound = {"extbl": 1 << 8, "extwl": 1 << 16,
                      "extll": 1 << 32}[term.op]
-            try_add("ext_bound", lt(term, bound))
+            try_add(f"{term.op}_bound", lt(term, bound))
         if term.op in ("mod64", "sel"):
             try_add("word_lt_mod", lt(term, Int(WORD_MOD)))
         if term.op == "mod64":
@@ -1054,7 +1059,7 @@ class Prover:
                     continue
                 b = shifted.args[0]
                 bound = lt(term, App("mod64", (b,)))
-                try_add("sll_lt_of_srl", bound, (b,))
+                try_add("sll_lt_of_srl", bound)
                 identity = self._mod_id(b, depth + 1)
                 if identity is not None:
                     premises.setdefault(eq(App("mod64", (b,)), b),
@@ -1082,29 +1087,19 @@ class Prover:
             return None
         self._exact_in_progress.add(term)
         try:
-            return self._prove_add64_exact_inner(term, premises, depth)
+            __, obligations = instantiate(
+                "add64_exact", eq(term, App("add", term.args)), ())
+            sub_proofs = []
+            for subgoal, __, __ in obligations:
+                proof = self._prove(subgoal, depth + 2)
+                if proof is None:
+                    proof = self._linarith(subgoal, premises)
+                if proof is None:
+                    return None
+                sub_proofs.append(proof)
+            return Proof("add64_exact", (), tuple(sub_proofs))
         finally:
             self._exact_in_progress.discard(term)
-
-    def _prove_add64_exact_inner(self, term: App,
-                                 premises: dict[Atom, Proof],
-                                 depth: int) -> Proof | None:
-        a, b = term.args
-        goal = eq(term, App("add", (a, b)))
-        try:
-            obligations = RULES["add64_exact"](goal, (), self.facts)
-        except ProofError:
-            return None
-        sub_proofs = []
-        for subgoal, __ in obligations:
-            assert isinstance(subgoal, Atom)
-            proof = self._prove(subgoal, depth + 2)
-            if proof is None:
-                proof = self._linarith(subgoal, premises)
-            if proof is None:
-                return None
-            sub_proofs.append(proof)
-        return Proof("add64_exact", (), tuple(sub_proofs))
 
 
 def prove_safety_predicate(predicate: Formula) -> Proof:

@@ -17,7 +17,8 @@ from repro.vcgen.policy import resource_access_policy
 
 #: ``--hypothesis-profile=ci`` widens the search of the suites that take
 #: their example count from the loaded profile (the LF checker
-#: differential, ``tests/pcc/test_checker_differential.py``, and the
+#: differential, ``tests/pcc/test_checker_differential.py``, the
+#: producer round trip, ``tests/pcc/test_certify_roundtrip.py``, and the
 #: three compiled-vs-generic batch searches in
 #: ``tests/runtime/test_backend_differential.py``); every other suite
 #: pins its own count.

@@ -32,7 +32,6 @@ from repro.logic.terms import (
     sll64,
     srl64,
 )
-from repro.proof.rules import RULES
 
 
 class TestWellFormedness:
@@ -60,22 +59,6 @@ class TestWellFormedness:
         for name, entry in SIGNATURE.entries.items():
             if entry.side_condition is not None:
                 assert entry.side_arity > 0, name
-
-    def test_rule_coverage(self):
-        """Every Delta rule has an LF counterpart (ext_bound splits into
-        three width-specific constants; hyp/linarith premises are encoded
-        structurally)."""
-        lf_names = set(SIGNATURE.entries)
-        structural = {"hyp"}  # encoded as LF variables, not constants
-        renamed = {"ext_bound": {"extbl_bound", "extwl_bound",
-                                 "extll_bound"},
-                   "cmp_bool": {"cmpeq_bool", "cmpult_bool",
-                                "cmpule_bool"}}
-        for rule in RULES:
-            if rule in structural:
-                continue
-            expected = renamed.get(rule, {rule})
-            assert expected & lf_names, f"no LF constant for rule {rule}"
 
     def test_schema_constants_are_guarded(self):
         """Every axiom schema whose soundness depends on literal values

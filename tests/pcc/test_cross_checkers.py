@@ -1,12 +1,11 @@
 """Cross-validation of the independent proof checkers.
 
-The repository has three validators for the same proofs: the direct Delta
-checker over natural-deduction trees, the LF type checker over the
-encoded objects (the paper's validator), and the minimal LF checker
+The repository has two validators for the same encoded proofs: the LF
+type checker (the paper's validator) and the minimal LF checker
 (:mod:`repro.lf.minicheck`), written separately from the first.  Every
-certified artifact must satisfy ALL of them — a disagreement would mean
-one of the trusted cores is wrong, so this is the deepest consistency
-test in the suite.
+certified artifact must satisfy both, before and after a wire round trip
+— a disagreement would mean one of the trusted cores is wrong, so this is
+the deepest consistency test in the suite.
 """
 
 import pytest
@@ -18,23 +17,20 @@ from repro.lf.minicheck import minicheck_proof
 from repro.lf.signature import SIGNATURE
 from repro.lf.syntax import LfApp, LfConst
 from repro.lf.typecheck import check_proof_term
-from repro.proof.checker import check_proof
 from repro.proof.encode import encode_proof
 
 
 def _cross_validate(certified):
-    # 1. the Delta checker accepts the raw proof
-    check_proof(certified.proof, certified.predicate)
-    # 2. the LF checker accepts the encoded proof
+    # 1. the LF checker accepts the encoded proof
     lf_proof = encode_proof(certified.proof, certified.predicate)
     expected = LfApp(LfConst("pf"),
                      encode_formula(certified.predicate, {}, 0))
     check_proof_term(lf_proof, expected, SIGNATURE)
-    # 3. and still after a wire round trip (what the consumer really sees)
+    # 2. and still after a wire round trip (what the consumer really sees)
     table, stream = serialize_lf(lf_proof)
     wire_proof = deserialize_lf(table, stream)
     check_proof_term(wire_proof, expected, SIGNATURE)
-    # 4. as does the independent minimal LF checker
+    # 3. as does the independent minimal LF checker
     minicheck_proof(wire_proof, expected, SIGNATURE)
 
 

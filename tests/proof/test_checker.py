@@ -1,11 +1,13 @@
-"""Unit tests for the Delta proof checker: each rule accepts its valid
-instances and rejects malformed ones.  The checker is consumer-side
-trusted code, so the rejection cases matter as much as the acceptance
-cases."""
+"""Unit tests for the producer's proof steps: each signature constant's
+valid instances encode to proofs both LF checkers accept, and malformed
+ones are rejected by the encoder or by both checkers.  The checkers are
+the consumer's trusted code, so the rejection cases matter as much as the
+acceptance cases."""
 
 import pytest
 
 from repro.errors import ProofError
+from repro.lf.arith import SCHEMAS
 from repro.logic.formulas import (
     And,
     Falsity,
@@ -13,6 +15,7 @@ from repro.logic.formulas import (
     Implies,
     Or,
     Truth,
+    conj,
     eq,
     ge,
     le,
@@ -21,17 +24,26 @@ from repro.logic.formulas import (
     rd,
 )
 from repro.logic.terms import App, Int, Var, add64, mod64, sel, srl64
-from repro.proof.checker import check_proof
 from repro.proof.proofs import Proof, proof_rules_used, proof_size
+from tests.proof_checks import lf_accepts, lf_rejects
 
 
 def ok(proof, goal, hyps=None):
-    check_proof(proof, goal, hyps)
+    lf_accepts(proof, goal, hyps)
 
 
 def bad(proof, goal, hyps=None):
-    with pytest.raises(ProofError):
-        check_proof(proof, goal, hyps)
+    lf_rejects(proof, goal, hyps)
+
+
+def hyps_proof(*labels):
+    """The andi chain of ``hyp`` steps proving a ``linarith`` step's
+    conjunction of premises."""
+    proofs = [Proof("hyp", (label,)) for label in labels]
+    result = proofs[-1]
+    for proof in reversed(proofs[:-1]):
+        result = Proof("andi", (), (proof, result))
+    return result
 
 
 class TestPropositional:
@@ -126,8 +138,8 @@ class TestEquality:
 
     def test_eqsub(self):
         hyps = {"ab": eq(Var("a"), Var("b")), "ra": rd(Var("a"))}
-        template = rd(Var("?h"))
-        proof = Proof("eqsub", (template, "?h", Var("a"), Var("b")),
+        template = Forall("?h", rd(Var("?h")))
+        proof = Proof("eqsub", (template, Var("a"), Var("b")),
                       (Proof("hyp", ("ab",)), Proof("hyp", ("ra",))))
         ok(proof, rd(Var("b")), hyps)
         bad(proof, rd(Var("c")), hyps)
@@ -161,7 +173,7 @@ class TestArithmeticSchemas:
         a, b = Var("a"), Var("b")
         flag = App("cmpult", (a, b))
         hyps = {"f": ne(flag, 0)}
-        proof = Proof("cmpult_true", (a, b), (Proof("hyp", ("f",)),))
+        proof = Proof("cmpult_true", (), (Proof("hyp", ("f",)),))
         ok(proof, lt(mod64(a), mod64(b)), hyps)
         bad(proof, lt(mod64(b), mod64(a)), hyps)
 
@@ -182,8 +194,8 @@ class TestArithmeticSchemas:
         # 8 <= 0.
         premises = (le(Var("x"), 56), ge(Var("y"), 64))
         hyps = {"p0": premises[0], "p1": premises[1]}
-        proof = Proof("linarith", (*premises, (1, 1, 1)),
-                      (Proof("hyp", ("p0",)), Proof("hyp", ("p1",))))
+        proof = Proof("linarith", (conj(premises), (1, 1, 1)),
+                      (hyps_proof("p0", "p1"),))
         ok(proof, lt(Var("x"), Var("y")), hyps)
         bad(proof, lt(Var("y"), Var("x")), hyps)
 
@@ -198,40 +210,42 @@ class TestArithmeticSchemas:
     ])
     def test_linarith_rejects_bad_certificates(self, weights, reason):
         premises = (le(Var("x"), 56), ge(Var("y"), 64))
-        hyps = {"p0": premises[0], "p1": premises[1]}
-        proof = Proof("linarith", (*premises, weights),
-                      (Proof("hyp", ("p0",)), Proof("hyp", ("p1",))))
+        goal = lt(Var("x"), Var("y"))
+        proof = Proof("linarith", (conj(premises), weights),
+                      (hyps_proof("p0", "p1"),))
+        assert lf_rejects(proof, goal,
+                          {"p0": premises[0], "p1": premises[1]},
+                          match="side condition") == "checker"
+        # The side condition runs this schema; it says why.
         with pytest.raises(ProofError, match=reason):
-            check_proof(proof, lt(Var("x"), Var("y")), hyps)
+            SCHEMAS["linarith"](goal, (*premises, weights), {})
 
     def test_linarith_needs_a_certificate(self):
         premises = (le(Var("x"), 56), ge(Var("y"), 64))
-        proof = Proof("linarith", premises,
-                      (Proof("hyp", ("p0",)), Proof("hyp", ("p1",))))
-        with pytest.raises(ProofError, match="weight tuple"):
-            check_proof(proof, lt(Var("x"), Var("y")),
-                        {"p0": premises[0], "p1": premises[1]})
+        proof = Proof("linarith", premises, (hyps_proof("p0", "p1"),))
+        assert lf_rejects(proof, lt(Var("x"), Var("y")),
+                          {"p0": premises[0], "p1": premises[1]}) \
+            == "producer"
 
     def test_linarith_cannot_use_ne_premises(self):
         # The ne premise has no rows; the negated goal y = x has two, and
         # no weights cancel them into a positive constant.
-        premises = (ne(Var("x"), Var("y")),)
+        premise = ne(Var("x"), Var("y"))
         for weights in ((1, 1), (0, 1), (2, 1)):
-            proof = Proof("linarith", (*premises, weights),
+            proof = Proof("linarith", (premise, weights),
                           (Proof("hyp", ("p",)),))
-            with pytest.raises(ProofError, match="does not follow"):
-                check_proof(proof, ne(Var("y"), Var("x")),
-                            {"p": premises[0]})
+            bad(proof, ne(Var("y"), Var("x")), {"p": premise})
 
     def test_linarith_eq_goal_needs_both_branches(self):
         # The goal x = 5 negates to x <= 4 or x >= 6: one refutation per
         # branch, each against the premises x <= 5 and x >= 5.
         premises = (le(Var("x"), 5), ge(Var("x"), 5))
         hyps = {"p0": premises[0], "p1": premises[1]}
-        premise_proofs = (Proof("hyp", ("p0",)), Proof("hyp", ("p1",)))
-        ok(Proof("linarith", (*premises, (0, 1, 1, 1, 0, 1)),
-                 premise_proofs), eq(Var("x"), 5), hyps)
-        bad(Proof("linarith", (*premises, (0, 1, 1)), premise_proofs),
+        premise_proof = hyps_proof("p0", "p1")
+        ok(Proof("linarith", (conj(premises), (0, 1, 1, 1, 0, 1)),
+                 (premise_proof,)), eq(Var("x"), 5), hyps)
+        bad(Proof("linarith", (conj(premises), (0, 1, 1)),
+                  (premise_proof,)),
             eq(Var("x"), 5), hyps)
 
 

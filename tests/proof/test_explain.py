@@ -1,5 +1,6 @@
-"""The proof renderer must replay the checker faithfully: it validates
-while it prints, rejects invalid proofs, and handles sharing."""
+"""The proof renderer reads every step off the signature as the encoder
+does: it validates while it prints, rejects invalid proofs, and handles
+sharing."""
 
 import pytest
 

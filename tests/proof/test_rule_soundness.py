@@ -1,17 +1,22 @@
-"""Property-based soundness of every arithmetic axiom schema in Delta.
+"""Property-based soundness of every arithmetic proof constant of the LF
+signature.
 
-Strategy: generate random rule instances the checker *accepts*, then
-evaluate premises and conclusion on random integer environments.  Whenever
-all premises hold, the conclusion must hold.  A failure here would mean
-the trusted rule set can prove a falsehood — the one bug class PCC cannot
-tolerate — so these tests deliberately hammer the word-size boundaries.
+Strategy: generate random steps the consumer *accepts* — the constant's
+Π-type matched against the goal (:func:`repro.proof.encode.instantiate`),
+then its side condition — and evaluate premises and conclusion on random
+integer environments.  Whenever all premises hold, the conclusion must
+hold.  A failure here would mean the published signature can prove a
+falsehood — the one bug class PCC cannot tolerate — so these tests
+deliberately hammer the word-size boundaries.
 """
+
+import inspect
 
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProofError
 from repro.lf.arith import linarith_rows
-from repro.logic.formulas import Atom, eq, ge, holds, le, lt, ne
+from repro.logic.formulas import Atom, Or, conj, eq, ge, holds, le, lt, ne
 from repro.logic.terms import (
     App,
     Int,
@@ -25,7 +30,11 @@ from repro.logic.terms import (
     srl64,
     sub64,
 )
-from repro.proof.rules import RULES
+from repro.proof.encode import (
+    PROOF_CONSTANTS,
+    instantiate,
+    side_condition_holds,
+)
 from repro.prover.prover import _farkas
 
 # Values biased toward the interesting boundaries.
@@ -39,21 +48,31 @@ any_ints = st.integers(min_value=-(1 << 70), max_value=1 << 70)
 X, Y = Var("x"), Var("y")
 
 
+#: The proof constants of the predicate calculus; every other proof
+#: constant is an arithmetic schema.
+LOGIC = frozenset((
+    "truei", "andi", "andel", "ander", "impi", "impe", "alli", "alle",
+    "alli_m", "alle_m", "ori1", "ori2", "ore", "falsee", "eqrefl", "eqsym",
+    "eqtrans", "eqsub"))
+
+
 def _accepted(rule, goal, params=()):
-    """Does the trusted checker accept this instance?  Returns the premise
-    obligations, or None."""
+    """Does the consumer accept this step?  Returns the premise goals, or
+    None."""
     try:
-        return RULES[rule](goal, params, {})
+        args, premises = instantiate(rule, goal, params)
     except ProofError:
         return None
+    if not side_condition_holds(rule, args):
+        return None
+    return [premise for premise, __, __ in premises]
 
 
 def _check_sound(rule, goal, params, env):
     obligations = _accepted(rule, goal, params)
     if obligations is None:
         return  # rejected instances prove nothing, trivially sound
-    premises_hold = all(holds(subgoal, env)
-                        for subgoal, __ in obligations)
+    premises_hold = all(holds(subgoal, env) for subgoal in obligations)
     if premises_hold:
         assert holds(goal, env), (
             f"UNSOUND {rule}: premises hold but conclusion fails "
@@ -102,10 +121,34 @@ class TestUnconditionalSchemas:
         goal = eq(and64(sll64(X, k), m), 0)
         _check_sound("sll_align", goal, (), {"x": x})
 
-    @given(words, st.integers(min_value=256, max_value=WORD_MOD - 1))
-    def test_ext_bound(self, x, c):
-        goal = lt(App("extbl", (X, Int(3))), Int(c))
-        _check_sound("ext_bound", goal, (), {"x": x})
+    @given(words, st.integers(min_value=0, max_value=7),
+           st.one_of(st.integers(min_value=0, max_value=WORD_MOD - 1),
+                     st.sampled_from([255, 256, 65535, 65536,
+                                      (1 << 32) - 1, 1 << 32])))
+    def test_ext_bound(self, x, k, c):
+        for rule, op in (("extbl_bound", "extbl"), ("extwl_bound", "extwl"),
+                         ("extll_bound", "extll")):
+            goal = lt(App(op, (X, Int(k))), Int(c))
+            _check_sound(rule, goal, (), {"x": x})
+
+    @given(st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge"]),
+           st.sampled_from(["add64", "sub64", "and64", "srl64", "sll64"]),
+           words, words, words, any_ints)
+    def test_arith_eval(self, pred, op, a, b, c, x):
+        """Ground atoms are decided by evaluation; an atom over a
+        variable is not ground and must be turned down."""
+        ground = Atom(pred, (App(op, (Int(a), Int(b))), Int(c)))
+        _check_sound("arith_eval", ground, (), {})
+        _check_sound("arith_eval", Atom(pred, (App(op, (X, Int(b))),
+                                               Int(c))), (), {"x": x})
+
+    @given(words, words)
+    def test_cmp_bool(self, x, y):
+        for rule, op in (("cmpeq_bool", "cmpeq"), ("cmpult_bool", "cmpult"),
+                         ("cmpule_bool", "cmpule")):
+            flag = App(op, (X, Y))
+            _check_sound(rule, Or(eq(flag, 0), eq(flag, 1)), (),
+                         {"x": x, "y": y})
 
     @given(words, st.integers(min_value=0, max_value=63))
     def test_shift_trunc_le(self, x, k):
@@ -136,7 +179,7 @@ class TestConditionalSchemas:
                 ("cmpule_false", Atom("gt", (mod64(X), mod64(Y)))),
                 ("cmpeq_true", eq(mod64(X), mod64(Y))),
                 ("cmpeq_false", ne(mod64(X), mod64(Y)))):
-            _check_sound(rule, conclusion, (X, Y), env)
+            _check_sound(rule, conclusion, (), env)
 
     @given(words, words, st.sampled_from([7, 15, 63, 2040, 2047]))
     def test_add_align(self, x, y, mask):
@@ -158,7 +201,12 @@ class TestConditionalSchemas:
     @given(words, words, st.integers(min_value=0, max_value=10))
     def test_sll_lt_of_srl(self, x, y, k):
         goal = lt(sll64(X, k), mod64(Y))
-        _check_sound("sll_lt_of_srl", goal, (Y,), {"x": x, "y": y})
+        _check_sound("sll_lt_of_srl", goal, (), {"x": x, "y": y})
+
+    @given(any_ints, st.integers(min_value=0, max_value=70), words, words)
+    def test_sll_ubound(self, x, k, m, c):
+        goal = le(sll64(X, k), Int(c))
+        _check_sound("sll_ubound", goal, (Int(m),), {"x": x})
 
     @given(words, words, words, words)
     def test_sel_upd_rules(self, addr_a, addr_b, value, other):
@@ -205,13 +253,13 @@ class TestLinarithSoundness:
         if None not in found:
             certificate = tuple(w for weights in found for w in weights)
             assert _accepted("linarith", goal,
-                             (*premises, certificate)) is not None
-            _check_sound("linarith", goal, (*premises, certificate),
+                             (conj(premises), certificate)) is not None
+            _check_sound("linarith", goal, (conj(premises), certificate),
                          {"x": x, "y": y})
         size = sum(len(rows) for rows in branches)
         weights = data.draw(st.lists(st.integers(min_value=0, max_value=6),
                                      min_size=size, max_size=size))
-        _check_sound("linarith", goal, (*premises, tuple(weights)),
+        _check_sound("linarith", goal, (conj(premises), tuple(weights)),
                      {"x": x, "y": y})
 
     def test_fixed_system_is_accepted(self):
@@ -220,5 +268,16 @@ class TestLinarithSoundness:
         premises = (self._atom("le", 1, 1, 4), self._atom("le", 1, -1, 2))
         goal = self._atom("le", 1, 0, 3)
         assert _accepted("linarith", goal,
-                         (*premises, (1, 1, 2))) is not None
+                         (conj(premises), (1, 1, 2))) is not None
         assert _farkas(linarith_rows(goal, premises)[0]) == [1, 1, 2]
+
+
+def test_every_arithmetic_constant_has_a_case():
+    """Each arithmetic proof constant of the signature is sampled above."""
+    arithmetic = set(PROOF_CONSTANTS) - LOGIC
+    assert len(arithmetic) == 32
+    cases = "".join(inspect.getsource(case) for case in (
+        TestUnconditionalSchemas, TestConditionalSchemas,
+        TestLinarithSoundness))
+    assert sorted(name for name in arithmetic
+                  if f'"{name}"' not in cases) == []

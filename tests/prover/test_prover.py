@@ -1,6 +1,6 @@
 """Prover unit tests: each strategy exercised on a minimal goal, plus
 failure behaviour (the prover must fail cleanly, never claim falsehoods —
-every emitted proof is re-checked by the Delta checker here)."""
+every emitted proof is encoded and checked by both LF checkers here)."""
 
 import pytest
 
@@ -34,13 +34,15 @@ from repro.logic.terms import (
     sub64,
     upd,
 )
-from repro.proof.checker import check_proof
 from repro.prover import Prover, prove_safety_predicate
+from tests.proof_checks import lf_accepts
 
 
 def proves(goal):
+    """Prove ``goal``; the proof, closed over the goal's free variables
+    with ``alli`` steps, must encode and pass both LF checkers."""
     proof = Prover().prove(goal)
-    check_proof(proof, goal)
+    lf_accepts(proof, goal)
     return proof
 
 
@@ -198,4 +200,4 @@ class TestDeterminism:
 
     def test_entry_point(self):
         proof = prove_safety_predicate(Truth())
-        check_proof(proof, Truth())
+        lf_accepts(proof, Truth())

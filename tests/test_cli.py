@@ -84,6 +84,17 @@ class TestCli:
         assert "native code" in out
         assert "proof" in out
 
+    def test_rules_prints_the_signature(self, capsys):
+        assert main(["rules"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("LF signature: 50 proof constants, 19 with a "
+                            "computational side condition (marked *)")
+        assert "  andel : Πa:form. Πb:form. pf (and a b) → pf a" in lines
+        assert ("* linarith : Πa:form. Πc:form. cert → pf a → pf c"
+                in lines)
+        assert sum(line[2:].partition(" : ")[1] == " : "
+                   for line in lines[1:]) == 50
+
     def test_filter_run(self, capsys):
         assert main(["filter", "filter1", "--packets", "60"]) == 0
         out = capsys.readouterr().out
