@@ -20,9 +20,10 @@ from repro.lf.syntax import (
     whnf,
 )
 from repro.lf.typecheck import check_proof_term, infer_type
-from repro.logic.formulas import Implies, eq, ge, le, lt
+from repro.logic.formulas import Implies, Truth, conj, eq, ge, le, lt, rd
 from repro.logic.terms import (
     WORD_MOD,
+    App,
     Int,
     Var,
     and64,
@@ -56,9 +57,15 @@ class TestWellFormedness:
         assert "rm" in SIGNATURE.entries
 
     def test_side_condition_arities_positive(self):
+        """A guarded constant's side arity is its Π-telescope's length:
+        the condition runs once, on the full application."""
         for name, entry in SIGNATURE.entries.items():
             if entry.side_condition is not None:
                 assert entry.side_arity > 0, name
+                binders, ty = 0, entry.ty
+                while isinstance(ty, LfPi):
+                    binders, ty = binders + 1, ty.cod
+                assert entry.side_arity == binders, name
 
     def test_schema_constants_are_guarded(self):
         """Every axiom schema whose soundness depends on literal values
@@ -181,3 +188,160 @@ class TestLiteralBounds:
     def test_and_submask_rejects_a_wider_mask(self):
         with pytest.raises(LfError, match="and_submask"):
             self._submask(0x0F, 0xFF)
+
+
+# -- side conditions at their boundaries --------------------------------------
+
+def _tm(op, *args):
+    return lf_app(LfConst(op), *args)
+
+
+def _form(formula):
+    return encode_formula(formula, {}, 0)
+
+
+def _cert(*weights):
+    cert = LfConst("cnil")
+    for weight in reversed(weights):
+        cert = lf_app(LfConst("ccons"), LfInt(weight), cert)
+    return cert
+
+
+_R1, _R2 = LfConst("r1"), LfConst("r2")
+_TOP = (1 << 64) - 1
+#: ``add64(sub64(r1, r1), c)``: a mask whose linear form is the constant c.
+_ZERO_REG = _tm("add64", _tm("sub64", _R1, _R1), LfInt(0))
+_X, _Y = Var("r1"), Var("r2")
+_LINARITH = (_form(conj([le(_X, 56), ge(_Y, 64)])), _form(lt(_X, _Y)))
+_EQ_PREMISES = _form(conj([le(_X, 5), ge(_X, 5)]))
+
+#: (constant, its non-proof arguments, does the side condition hold?),
+#: one accepted and one rejected spine on each side of every bound.
+SIDE_CONDITION_CASES = [
+    ("srl_bound", (_R1, LfInt(8), LfInt(1 << 56)), True),
+    ("srl_bound", (_R1, LfInt(8), LfInt((1 << 56) - 1)), False),
+    ("srl_bound", (_R1, LfInt(64), LfInt(1 << 64)), True),
+    ("srl_bound", (_R1, LfInt(64), LfInt(_TOP)), False),
+    ("srl_bound", (_R1, _R2, LfInt(1 << 64)), False),
+    ("sll_align", (_R1, LfInt(3), LfInt(7)), True),
+    ("sll_align", (_R1, LfInt(3), LfInt(8)), False),
+    ("sll_align", (_R1, LfInt(3), LfInt(-1)), False),
+    ("sll_align", (_R1, LfInt(3), _tm("add64", LfInt(0), LfInt(7))), False),
+    ("add_align", (_R1, _R2, LfInt(7)), True),
+    ("add_align", (_R1, _R2, LfInt(_TOP)), True),
+    ("add_align", (_R1, _R2, LfInt(8)), False),
+    ("add_align", (_R1, _R2, LfInt(1 << 64)), False),
+    ("add_align", (_R1, _R2, LfInt(-1)), False),
+    ("and_ubound", (_R1, LfInt(_TOP)), True),
+    ("and_ubound", (_R1, LfInt(1 << 64)), False),
+    ("and_ubound", (_R1, LfInt(-1)), False),
+    ("and_ubound", (_R1, _R2), False),
+    ("extbl_bound", (_R1, _R2, LfInt(1 << 8)), True),
+    ("extbl_bound", (_R1, _R2, LfInt((1 << 8) - 1)), False),
+    ("extwl_bound", (_R1, _R2, LfInt(1 << 16)), True),
+    ("extwl_bound", (_R1, _R2, LfInt((1 << 16) - 1)), False),
+    ("extll_bound", (_R1, _R2, LfInt(1 << 32)), True),
+    ("extll_bound", (_R1, _R2, LfInt((1 << 32) - 1)), False),
+    ("extll_bound", (_R1, _R2, _R2), False),
+    ("sll_ubound", (_R1, LfInt(3), LfInt(255), LfInt(2040)), True),
+    ("sll_ubound", (_R1, LfInt(3), LfInt(255), LfInt(2039)), False),
+    ("sll_ubound", (_R1, LfInt(3), LfInt(1 << 61), LfInt(1 << 64)), False),
+    ("sll_ubound", (_R1, LfInt(3), LfInt((1 << 61) - 1), LfInt(_TOP)),
+     True),
+    ("sll_ubound", (_R1, _R2, LfInt(1), LfInt(_TOP)), False),
+    ("and_mask_disjoint", (_R1, LfInt(0xF0), LfInt(0x0F)), True),
+    ("and_mask_disjoint", (_R1, LfInt(0x18), LfInt(0x0F)), False),
+    ("and_mask_disjoint", (_R1, _ZERO_REG, LfInt(_TOP)), True),
+    ("and_mask_disjoint", (_R1, _R2, LfInt(0)), False),
+    ("and_submask", (_R1, LfInt(0xFF), LfInt(0x0F)), True),
+    ("and_submask", (_R1, LfInt(0x0F), LfInt(0x1F)), False),
+    ("and_submask", (_R1, LfInt(0xFF), _R2), False),
+    ("or_disjoint", (_R1, LfInt(0xFF), _R2), True),
+    ("or_disjoint", (_R1, _ZERO_REG, _R2), True),
+    ("or_disjoint", (_R1, _R2, LfInt(0)), False),
+    ("shift_trunc_le", (_R1, LfInt(3)), True),
+    ("shift_trunc_le", (_R1, _R2), False),
+    ("sll_lt_of_srl", (_R1, LfInt(3), _R2), True),
+    ("sll_lt_of_srl", (_R1, _R2, LfInt(3)), False),
+    ("mod_word", (_tm("and64", _R1, LfInt(255)),), True),
+    ("mod_word", (_tm("sel", LfConst("rm"), _R1),), True),
+    ("mod_word", (_tm("add", _R1, LfInt(1)),), False),
+    ("mod_word", (_R1,), False),
+    ("word_ge0", (LfInt(0),), True),
+    ("word_ge0", (LfInt(-1),), False),
+    ("word_ge0", (_tm("sub", _R1, _R2),), False),
+    ("word_lt_mod", (LfInt(_TOP),), True),
+    ("word_lt_mod", (LfInt(1 << 64),), False),
+    ("word_lt_mod", (_tm("srl64", _R1, LfInt(3)),), True),
+    ("norm_mod_eq", (_tm("add64", _R1, LfInt(8)),
+                     _tm("add", LfInt(8), _R1)), True),
+    ("norm_mod_eq", (_tm("add64", _R1, LfInt(1 << 64)), _R1), True),
+    ("norm_mod_eq", (_tm("add64", _R1, LfInt(8)),
+                     _tm("add64", _R1, LfInt(16))), False),
+    ("norm_mod_eq", (_tm("mul", LfInt(2), _R1), _tm("add", _R1, _R1)),
+     True),
+    ("norm_mod_eq", (_tm("mul", _R1, _R1), _tm("add", _R1, _R1)), False),
+    ("arith_eval", (_form(eq(App("add", (Int(2), Int(3))), 5)),), True),
+    ("arith_eval", (_form(lt(App("add64", (Int(_TOP), Int(1))), 1)),),
+     True),
+    ("arith_eval", (_form(eq(App("add", (Int(2), Int(3))), 6)),), False),
+    ("arith_eval", (_form(eq(_X, _X)),), False),
+    ("arith_eval", (_form(eq(App("sel", (Var("rm"), Int(0))), 0)),),
+     False),
+    ("arith_eval", (_form(rd(8)),), False),
+    ("linarith", (*_LINARITH, _cert(1, 1, 1)), True),
+    ("linarith", (*_LINARITH, _cert(1, 1)), False),
+    ("linarith", (*_LINARITH, _cert(1, 1, 1, 1)), False),
+    ("linarith", (*_LINARITH, _cert(1, -1, 1)), False),
+    ("linarith", (*_LINARITH, _cert(1, True, 1)), False),
+    ("linarith", (*_LINARITH, _cert(1, 1.0, 1)), False),
+    ("linarith", (*_LINARITH, _cert(1, 2, 1)), False),
+    ("linarith", (*_LINARITH, _cert(0, 0, 0)), False),
+    ("linarith", (*_LINARITH, _R1), False),
+    ("linarith", (_EQ_PREMISES, _form(eq(_X, 5)), _cert(0, 1, 1, 1, 0, 1)),
+     True),
+    ("linarith", (_EQ_PREMISES, _form(eq(_X, 5)), _cert(0, 1, 1, 0, 0, 0)),
+     False),
+    ("linarith", (_form(Truth()), _form(lt(Int(0), 1)), _cert(1)), True),
+    ("linarith", (_form(conj([rd(_X), le(_X, 56)])), _form(lt(_X, 57)),
+                  _cert(1, 1)), False),
+    ("linarith", (_form(conj([le(_X, 56), Truth()])), _form(lt(_X, 57)),
+                  _cert(1, 1)), False),
+    ("linarith", (_form(le(_X, 56)), _form(rd(_X)), _cert(1, 1)), False),
+]
+
+
+def _side_condition(name, args):
+    """Run ``name``'s side condition on ``args``, padded with a proof
+    variable for each premise (every guarded constant takes its premises
+    last)."""
+    entry = SIGNATURE.entries[name]
+    return entry.side_condition(
+        list(args) + [LfVar(0)] * (entry.side_arity - len(args)))
+
+
+class TestSideConditionBoundaries:
+    @pytest.mark.parametrize(
+        "name, args, holds", SIDE_CONDITION_CASES,
+        ids=[f"{name}-{index}" for index, (name, __, __)
+             in enumerate(SIDE_CONDITION_CASES)])
+    def test_side_condition(self, name, args, holds):
+        assert _side_condition(name, args) is holds
+
+    def test_every_guarded_constant_has_cases(self):
+        guarded = {name for name, entry in SIGNATURE.entries.items()
+                   if entry.side_condition is not None}
+        assert {name for name, __, holds in SIDE_CONDITION_CASES
+                if holds} == guarded
+        assert {name for name, __, holds in SIDE_CONDITION_CASES
+                if not holds} == guarded
+
+    @pytest.mark.parametrize(
+        "name, args, position",
+        [(name, args, position)
+         for name, args, holds in SIDE_CONDITION_CASES if holds
+         for position in range(len(args))])
+    def test_a_lambda_argument_is_rejected(self, name, args, position):
+        lam = LfLam(LfConst("tm"), LfVar(0))
+        forged = args[:position] + (lam,) + args[position + 1:]
+        assert _side_condition(name, forged) is False
