@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.errors import LfError
 from repro.logic.formulas import (
+    PREDICATES,
     And,
     Atom,
     Falsity,
@@ -39,18 +40,18 @@ from repro.lf.syntax import (
     lf_app,
     spine,
 )
+from repro.vcgen.vcgen import MEMORY_VAR, REGISTER_VARS
 
 _TM = LfConst("tm")
 _MEM = LfConst("mem")
 
 _CONNECTIVES = {"and": And, "or": Or, "imp": Implies}
-_PREDICATES = ("eq", "ne", "lt", "le", "gt", "ge", "rd", "wr")
 
 #: Machine-state variables encodable as LF constants when free.  Loop
 #: invariants are *open* formulas over the registers (they are closed by
 #: the VC generator, not by the invariant itself), so the wire encoding
 #: maps a free register to the corresponding signature constant.
-STATE_CONSTANTS = tuple(f"r{i}" for i in range(11)) + ("rm",)
+STATE_CONSTANTS = REGISTER_VARS + (MEMORY_VAR,)
 
 
 def is_memory_var(name: str) -> bool:
@@ -225,7 +226,7 @@ def decode_logic_formula(term: LfTerm, depth: int = 0, memories: int = 0,
         result = _CONNECTIVES[name](
             decode_logic_formula(args[0], depth, memories, memo),
             decode_logic_formula(args[1], depth, memories, memo))
-    elif name in _PREDICATES:
+    elif name in PREDICATES:
         result = Atom(name, tuple(
             _decode_term_scoped(arg, depth, memories, memo) for arg in args))
     elif name in ("all", "allm") and len(args) == 1:

@@ -1,4 +1,4 @@
-"""The LF signature: first-order logic + the rule set Delta.
+"""The LF signature: first-order logic and its proof rules.
 
 The signature is the consumer's *published safety-policy logic* (paper
 §2.1: "a set of axioms that can be used to validate the safety predicate").
@@ -7,20 +7,20 @@ It declares:
 * the syntactic classes ``tm`` (individuals), ``mem`` (memory states) and
   ``form`` (formulas), with one constructor per logic operator/predicate;
 * the judgement ``pf : form -> type``;
-* one constant per inference rule.  Purely logical rules (and the
-  arithmetic rules whose premises fully constrain them, like
-  ``add64_exact``) are ordinary LF constants.  Schemas whose soundness
-  depends on *literal* values (mask disjointness, ground evaluation, the
-  weights of a ``linarith`` Farkas certificate) carry a side condition: a
-  decidable predicate on the application spine, run by the type checker
-  at every full application.  The checker accepts such a constant only
-  fully applied, so no proof can bind it to a variable and apply it
-  unchecked.
+* one constant per inference rule, whose Π-type is the rule: the only
+  statement of it, which the producer also reads its proof steps off
+  (:mod:`repro.proof.encode`).  Purely logical rules (and the arithmetic
+  rules whose premises fully constrain them, like ``add64_exact``) are
+  ordinary LF constants.  Rules whose soundness depends on *literal*
+  values (mask disjointness, ground evaluation, the weights of a
+  ``linarith`` Farkas certificate) carry a side condition: a decidable
+  predicate on the application spine, run by the type checker at every
+  full application.  The checker accepts such a constant only fully
+  applied, so no proof can bind it to a variable and apply it unchecked.
 
-Side conditions decode the LF arguments back into logic terms and run the
-arithmetic schemas of :mod:`repro.lf.arith`, the same functions the
-producer's natural-deduction rule set registers: one implementation of the
-arithmetic, two proof formats.
+A side condition decodes the constant's non-proof arguments back into
+logic terms, formulas and certificate weights, by the sorts of its
+Π-binders, and runs the constant's check in :mod:`repro.lf.arith`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.errors import LfError, ProofError
-from repro.lf.arith import SCHEMAS
-from repro.lf.encode import decode_logic_formula, decode_logic_term
+from repro.errors import LfError
+from repro.lf import arith
+from repro.lf.encode import (
+    STATE_CONSTANTS,
+    decode_logic_formula,
+    decode_logic_term,
+    is_memory_var,
+)
 from repro.lf.syntax import (
     LfApp,
     LfConst,
@@ -42,8 +47,8 @@ from repro.lf.syntax import (
     TYPE,
     spine,
 )
-from repro.logic.formulas import Atom, Truth, conjuncts
-from repro.logic.terms import App, Int, OPS, WORD_MOD
+from repro.logic.formulas import PREDICATES
+from repro.logic.terms import OPS, WORD_MOD
 
 SideCondition = Callable[[Sequence[LfTerm]], bool]
 
@@ -128,34 +133,6 @@ def _arrows(*types) -> LfTerm:
 
 # -- side conditions ---------------------------------------------------------
 
-def _delegate(rule: str, goal, params=lambda args: ()) -> SideCondition:
-    """Build a side condition that decodes the spine into the ``goal`` and
-    ``params`` of an instance of the arithmetic schema ``rule`` and runs
-    the schema (ignoring its premise obligations, which the LF type
-    already enforces)."""
-    schema = SCHEMAS[rule]
-
-    def condition(args: Sequence[LfTerm]) -> bool:
-        try:
-            schema(goal(args), params(args), {})
-        except (LfError, ProofError):
-            return False
-        return True
-
-    return condition
-
-
-def _dt(term: LfTerm):
-    return decode_logic_term(term)
-
-
-def _linarith_params(args: Sequence[LfTerm]) -> tuple:
-    """The premise atoms of the ``a`` conjunction, then the weights."""
-    premises = decode_logic_formula(args[0])
-    parts = () if isinstance(premises, Truth) else tuple(conjuncts(premises))
-    return parts + (_weights(args[2]),)
-
-
 def _weights(cert: LfTerm) -> tuple[int, ...]:
     """The literals of a ``ccons``/``cnil`` certificate spine."""
     weights = []
@@ -170,91 +147,36 @@ def _weights(cert: LfTerm) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def _mk_eq(a, b) -> Atom:
-    return Atom("eq", (a, b))
+#: How a side condition reads a constant's argument, by the binder's sort.
+_DECODERS = {_TM: decode_logic_term, _FORM: decode_logic_formula,
+             _CERT: _weights}
 
 
-def _shift_trunc_le(a: Sequence[LfTerm]) -> Atom:
-    x, k = _dt(a[0]), _dt(a[1])
-    return Atom("le", (App("sll64", (App("srl64", (x, k)), k)),
-                       App("mod64", (x,))))
+def _side_condition(ty: LfTerm,
+                    check: Callable[..., bool]) -> tuple[SideCondition, int]:
+    """The side condition of a constant of type ``ty`` that runs ``check``,
+    and the spine length it fires at: the length of the Π-telescope.
 
+    At a full application the condition decodes every non-proof argument
+    by its binder's sort and passes them to ``check`` in order; a proof
+    premise (``pf …``) is not passed.  An argument that does not decode
+    (a λ, an unknown head) fails the condition.
+    """
+    decoders = []
+    while isinstance(ty, LfPi):
+        decoders.append(None if spine(ty.dom)[0] == _PF
+                        else _DECODERS[ty.dom])
+        ty = ty.cod
 
-#: Signature constant -> (side condition, the spine length it needs).
-_SC = {
-    "arith_eval": (_delegate(
-        "arith_eval", lambda a: decode_logic_formula(a[0])), 1),
-    "mod_word": (_delegate(
-        "mod_word",
-        lambda a: _mk_eq(App("mod64", (_dt(a[0]),)), _dt(a[0]))), 1),
-    "norm_mod_eq": (_delegate(
-        "norm_mod_eq",
-        lambda a: _mk_eq(App("mod64", (_dt(a[0]),)),
-                         App("mod64", (_dt(a[1]),)))), 2),
-    "word_ge0": (_delegate(
-        "word_ge0",
-        lambda a: Atom("ge", (_dt(a[0]), Int(0)))), 1),
-    "word_lt_mod": (_delegate(
-        "word_lt_mod",
-        lambda a: Atom("lt", (_dt(a[0]), Int(WORD_MOD)))), 1),
-    "and_ubound": (_delegate(
-        "and_ubound",
-        lambda a: Atom("le", (App("and64", (_dt(a[0]), _dt(a[1]))),
-                              _dt(a[1])))), 2),
-    "and_mask_disjoint": (_delegate(
-        "and_mask_disjoint",
-        lambda a: _mk_eq(App("and64", (App("and64", (_dt(a[0]), _dt(a[1]))),
-                                       _dt(a[2]))), Int(0))), 3),
-    "add_align": (_delegate(
-        "add_align",
-        lambda a: _mk_eq(App("and64", (App("add64", (_dt(a[0]), _dt(a[1]))),
-                                       _dt(a[2]))), Int(0))), 5),
-    "srl_bound": (_delegate(
-        "srl_bound",
-        lambda a: Atom("lt", (App("srl64", (_dt(a[0]), _dt(a[1]))),
-                              _dt(a[2])))), 3),
-    "sll_align": (_delegate(
-        "sll_align",
-        lambda a: _mk_eq(App("and64", (App("sll64", (_dt(a[0]), _dt(a[1]))),
-                                       _dt(a[2]))), Int(0))), 3),
-    "extbl_bound": (_delegate(
-        "ext_bound",
-        lambda a: Atom("lt", (App("extbl", (_dt(a[0]), _dt(a[1]))),
-                              _dt(a[2])))), 3),
-    "extwl_bound": (_delegate(
-        "ext_bound",
-        lambda a: Atom("lt", (App("extwl", (_dt(a[0]), _dt(a[1]))),
-                              _dt(a[2])))), 3),
-    "extll_bound": (_delegate(
-        "ext_bound",
-        lambda a: Atom("lt", (App("extll", (_dt(a[0]), _dt(a[1]))),
-                              _dt(a[2])))), 3),
-    "or_disjoint": (_delegate(
-        "or_disjoint",
-        lambda a: _mk_eq(
-            App("or64", (App("and64", (_dt(a[0]), _dt(a[1]))), _dt(a[2]))),
-            App("add64", (App("and64", (_dt(a[0]), _dt(a[1]))),
-                          _dt(a[2]))))), 4),
-    "linarith": (_delegate(
-        "linarith", lambda a: decode_logic_formula(a[1]),
-        _linarith_params), 4),
-    "sll_ubound": (_delegate(
-        "sll_ubound",
-        lambda a: Atom("le", (App("sll64", (_dt(a[0]), _dt(a[1]))),
-                              _dt(a[3]))),
-        lambda a: (_dt(a[2]),)), 6),
-    "shift_trunc_le": (_delegate("shift_trunc_le", _shift_trunc_le), 2),
-    "sll_lt_of_srl": (_delegate(
-        "sll_lt_of_srl",
-        lambda a: Atom("lt", (App("sll64", (_dt(a[0]), _dt(a[1]))),
-                              App("mod64", (_dt(a[2]),)))),
-        lambda a: (_dt(a[2]),)), 4),
-    # The wide mask is a rule *parameter*, the narrow one is in the goal.
-    "and_submask": (_delegate(
-        "and_submask",
-        lambda a: _mk_eq(App("and64", (_dt(a[0]), _dt(a[2]))), Int(0)),
-        lambda a: (_dt(a[1]),)), 4),
-}
+    def condition(args: Sequence[LfTerm]) -> bool:
+        try:
+            decoded = [decode(arg) for decode, arg in zip(decoders, args)
+                       if decode is not None]
+        except LfError:
+            return False
+        return check(*decoded)
+
+    return condition, len(decoders)
 
 
 # -- the signature -----------------------------------------------------------
@@ -262,13 +184,14 @@ _SC = {
 def _build_signature() -> Signature:
     entries: dict[str, SigEntry] = {}
 
-    def declare(name: str, ty, side: str | None = None) -> None:
+    def declare(name: str, ty,
+                side: Callable[..., bool] | None = None) -> None:
         converted = _to_db(ty, ())
-        if side is not None:
-            condition, arity = _SC[side]
-            entries[name] = SigEntry(name, converted, condition, arity)
-        else:
+        if side is None:
             entries[name] = SigEntry(name, converted)
+        else:
+            entries[name] = SigEntry(name, converted,
+                                     *_side_condition(converted, side))
 
     # Syntactic classes.
     declare("tm", TYPE)
@@ -288,19 +211,16 @@ def _build_signature() -> Signature:
 
     # Machine-state constants: free registers in loop invariants encode as
     # these (the VC generator closes over them when building the SP).
-    for index in range(11):
-        declare(f"r{index}", _TM)
-    declare("rm", _MEM)
+    for name in STATE_CONSTANTS:
+        declare(name, _MEM if is_memory_var(name) else _TM)
 
     # Formula constructors.
     declare("true", _FORM)
     declare("false", _FORM)
     for connective in ("and", "or", "imp"):
         declare(connective, _arrows(_FORM, _FORM, _FORM))
-    for pred in ("eq", "ne", "lt", "le", "gt", "ge"):
-        declare(pred, _arrows(_TM, _TM, _FORM))
-    for pred in ("rd", "wr"):
-        declare(pred, _arrow(_TM, _FORM))
+    for pred, arity in PREDICATES.items():
+        declare(pred, _arrows(*([_TM] * arity), _FORM))
     declare("all", _arrow(_arrow(_TM, _FORM), _FORM))
     declare("allm", _arrow(_arrow(_MEM, _FORM), _FORM))
 
@@ -360,15 +280,15 @@ def _build_signature() -> Signature:
         return _app(LfConst("mod64"), x)
 
     declare("arith_eval", _pi("f", _FORM, _pf(_Ref("f"))),
-            side="arith_eval")
+            side=arith.arith_eval)
     declare("mod_word", _pi("t", _TM, _pf(eq_f(mod64_t(t), t))),
-            side="mod_word")
+            side=arith.is_word_valued)
     declare("norm_mod_eq", _pi("a", _TM, _pi("b", _TM, _pf(
-        eq_f(mod64_t(a), mod64_t(b))))), side="norm_mod_eq")
+        eq_f(mod64_t(a), mod64_t(b))))), side=arith.norm_mod_eq)
     declare("word_ge0", _pi("t", _TM, _pf(
-        _app(LfConst("ge"), t, LfInt(0)))), side="word_ge0")
+        _app(LfConst("ge"), t, LfInt(0)))), side=arith.is_word_valued)
     declare("word_lt_mod", _pi("t", _TM, _pf(
-        _app(LfConst("lt"), t, LfInt(WORD_MOD)))), side="word_lt_mod")
+        _app(LfConst("lt"), t, LfInt(WORD_MOD)))), side=arith.is_word_valued)
 
     for name, (op, flag_pred, conclusion_pred) in (
             ("cmpult_true", ("cmpult", "ne", "lt")),
@@ -398,27 +318,28 @@ def _build_signature() -> Signature:
 
     declare("and_ubound", _pi("a", _TM, _pi("c", _TM, _pf(
         _app(LfConst("le"), _app(LfConst("and64"), a, c), c)))),
-        side="and_ubound")
+        side=arith.and_ubound)
     declare("and_mask_disjoint", _pi("a", _TM, _pi("b", _TM, _pi(
         "c", _TM, _pf(eq_f(
             _app(LfConst("and64"), _app(LfConst("and64"), a, b), c),
-            LfInt(0)))))), side="and_mask_disjoint")
+            LfInt(0)))))), side=arith.and_mask_disjoint)
     declare("add_align", _pi("a", _TM, _pi("b", _TM, _pi("m", _TM, _arrows(
         _pf(eq_f(_app(LfConst("and64"), a, m), LfInt(0))),
         _pf(eq_f(_app(LfConst("and64"), b, m), LfInt(0))),
         _pf(eq_f(_app(LfConst("and64"), _app(LfConst("add64"), a, b), m),
-                 LfInt(0))))))), side="add_align")
+                 LfInt(0))))))), side=arith.add_align)
     declare("srl_bound", _pi("a", _TM, _pi("b", _TM, _pi("c", _TM, _pf(
         _app(LfConst("lt"), _app(LfConst("srl64"), a, b), c))))),
-        side="srl_bound")
+        side=arith.srl_bound)
     declare("sll_align", _pi("a", _TM, _pi("b", _TM, _pi("c", _TM, _pf(
         eq_f(_app(LfConst("and64"), _app(LfConst("sll64"), a, b), c),
-             LfInt(0)))))), side="sll_align")
-    for ext_op in ("extbl", "extwl", "extll"):
+             LfInt(0)))))), side=arith.sll_align)
+    for ext_op, width in (("extbl", 1 << 8), ("extwl", 1 << 16),
+                          ("extll", 1 << 32)):
         declare(f"{ext_op}_bound",
                 _pi("a", _TM, _pi("b", _TM, _pi("c", _TM, _pf(
                     _app(LfConst("lt"), _app(LfConst(ext_op), a, b),
-                         c))))), side=f"{ext_op}_bound")
+                         c))))), side=arith.ext_bound(width))
 
     declare("sel_upd_same", _pi("m", _MEM, _pi("a", _TM, _pi(
         "v", _TM, _pi("b", _TM, _arrow(
@@ -433,29 +354,26 @@ def _build_signature() -> Signature:
                           _app(LfConst("upd"), m, a, _Ref("v")), b),
                      _app(LfConst("sel"), m, b)))))))))
 
-    def mod64_ref(x):
-        return _app(LfConst("mod64"), x)
-
     declare("sll_ubound", _pi("a", _TM, _pi("k", _TM, _pi(
         "m", _TM, _pi("c", _TM, _arrows(
             _pf(_app(LfConst("ge"), a, LfInt(0))),
             _pf(_app(LfConst("le"), a, _Ref("m"))),
             _pf(_app(LfConst("le"),
                      _app(LfConst("sll64"), a, _Ref("k")),
-                     _Ref("c")))))))), side="sll_ubound")
+                     _Ref("c")))))))), side=arith.sll_ubound)
 
     declare("shift_trunc_le", _pi("a", _TM, _pi("k", _TM, _pf(
         _app(LfConst("le"),
              _app(LfConst("sll64"),
                   _app(LfConst("srl64"), a, _Ref("k")), _Ref("k")),
-             mod64_ref(a))))), side="shift_trunc_le")
+             mod64_t(a))))), side=arith.constant_shift)
     declare("sll_lt_of_srl", _pi("a", _TM, _pi("k", _TM, _pi(
         "b", _TM, _arrow(
-            _pf(_app(LfConst("lt"), mod64_ref(a),
-                     mod64_ref(_app(LfConst("srl64"), b, _Ref("k"))))),
+            _pf(_app(LfConst("lt"), mod64_t(a),
+                     mod64_t(_app(LfConst("srl64"), b, _Ref("k"))))),
             _pf(_app(LfConst("lt"),
                      _app(LfConst("sll64"), a, _Ref("k")),
-                     mod64_ref(b))))))), side="sll_lt_of_srl")
+                     mod64_t(b))))))), side=arith.constant_shift)
 
     declare("or_disjoint", _pi("x", _TM, _pi("c", _TM, _pi("b", _TM, _arrow(
         _pf(eq_f(_app(LfConst("and64"), b, c), LfInt(0))),
@@ -464,12 +382,12 @@ def _build_signature() -> Signature:
                  _app(LfConst("and64"), _Ref("x"), c), b),
             _app(LfConst("add64"),
                  _app(LfConst("and64"), _Ref("x"), c), b))))))),
-        side="or_disjoint")
+        side=arith.or_disjoint)
     declare("and_submask", _pi("a", _TM, _pi("c1", _TM, _pi(
         "c2", _TM, _arrow(
             _pf(eq_f(_app(LfConst("and64"), a, _Ref("c1")), LfInt(0))),
             _pf(eq_f(_app(LfConst("and64"), a, _Ref("c2")),
-                     LfInt(0))))))), side="and_submask")
+                     LfInt(0))))))), side=arith.and_submask)
 
     for cmp_op in ("cmpeq", "cmpult", "cmpule"):
         flag = _app(LfConst(cmp_op), a, b)
@@ -481,7 +399,7 @@ def _build_signature() -> Signature:
     declare("cnil", _CERT)
     declare("ccons", _arrows(_TM, _CERT, _CERT))
     declare("linarith", _pi("a", _FORM, _pi("c", _FORM, _arrows(
-        _CERT, _pf(a), _pf(c)))), side="linarith")
+        _CERT, _pf(a), _pf(c)))), side=arith.linarith)
 
     return Signature(entries)
 

@@ -7,6 +7,7 @@ them, and the abstract machine's safety checks are their semantics.
 The semantic domain is the unbounded integers.  Every machine-level operator
 (``add64``, ``and64``, ``sel`` ...) is a total function that reduces its
 operands modulo 2**64 first, exactly mirroring the paper's definition
-``e1 (+) e2 = (e1 + e2) mod 2**64``.  This choice makes the arithmetic axiom
-schemas in :mod:`repro.lf.arith` unconditionally sound.
+``e1 (+) e2 = (e1 + e2) mod 2**64``.  This choice makes the LF signature's
+arithmetic proof constants, and the checks :mod:`repro.lf.arith` runs for
+them, unconditionally sound.
 """

@@ -121,19 +121,20 @@ class Forall:
                          lambda node: (node.var, node.body))
 
 
+#: The comparison predicates and their meaning over the integers.
+COMPARISONS: dict[str, Callable[[int, int], bool]] = {
+    "eq": lambda a, b: a == b,
+    "ne": lambda a, b: a != b,
+    "lt": lambda a, b: a < b,
+    "le": lambda a, b: a <= b,
+    "gt": lambda a, b: a > b,
+    "ge": lambda a, b: a >= b,
+}
 
 #: Predicate table: name -> arity.  ``rd``/``wr`` are the abstract-machine
 #: safety checks; their truth is policy-defined (see ``holds``).
-PREDICATES: dict[str, int] = {
-    "eq": 2,
-    "ne": 2,
-    "lt": 2,
-    "le": 2,
-    "gt": 2,
-    "ge": 2,
-    "rd": 1,
-    "wr": 1,
-}
+PREDICATES: dict[str, int] = {**dict.fromkeys(COMPARISONS, 2),
+                              "rd": 1, "wr": 1}
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,16 +267,6 @@ def formula_size(formula: Formula) -> int:
     raise LogicError(f"not a formula: {formula!r}")
 
 
-_COMPARISONS: dict[str, Callable[[int, int], bool]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-}
-
-
 def holds(formula: Formula, env: Env,
           can_read: Callable[[int], bool] | None = None,
           can_write: Callable[[int], bool] | None = None,
@@ -319,10 +310,10 @@ def holds(formula: Formula, env: Env,
                 return False
         return True
     if isinstance(formula, Atom):
-        if formula.pred in _COMPARISONS:
+        if formula.pred in COMPARISONS:
             a = eval_term(formula.args[0], env)
             b = eval_term(formula.args[1], env)
-            return _COMPARISONS[formula.pred](a, b)
+            return COMPARISONS[formula.pred](a, b)
         if formula.pred == "rd":
             if can_read is None:
                 raise LogicError("rd() atom evaluated without a policy")

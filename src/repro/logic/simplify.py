@@ -17,6 +17,7 @@ never weakens the tamper-detection story.
 from __future__ import annotations
 
 from repro.logic.formulas import (
+    COMPARISONS,
     And,
     Atom,
     Falsity,
@@ -26,7 +27,7 @@ from repro.logic.formulas import (
     Or,
     Truth,
 )
-from repro.logic.terms import OPS, App, Int, Term, Var, WORD_MOD
+from repro.logic.terms import OPS, App, Int, Term, Var, WORD_MOD, WORD_VALUED_OPS
 
 
 def _const_fold(term: App) -> Term | None:
@@ -80,7 +81,7 @@ def _simplify_app(term: App, memo: dict) -> Term:
     # mod64(mod64(x)) = mod64(x); mod64 of any 64-bit operator result is
     # the result itself, because machine operators already reduce.
     if term.op == "mod64":
-        if isinstance(a, App) and a.op in _WORD_VALUED_OPS:
+        if isinstance(a, App) and a.op in WORD_VALUED_OPS:
             return a
         if isinstance(a, Int):
             return Int(a.value % WORD_MOD)
@@ -97,29 +98,13 @@ def _simplify_app(term: App, memo: dict) -> Term:
     return term
 
 
-#: Operators whose result is always already reduced into [0, 2^64).
-#: ``sel`` counts because memory cells hold words; the pure integer
-#: operators and ``upd`` (memory-valued) do not.
-_WORD_VALUED_OPS = frozenset(
-    op for op in OPS if op not in ("upd", "add", "sub", "mul"))
-
-
 def _atom_truth(atom: Atom) -> bool | None:
     """Decide a ground comparison atom, or return None."""
-    if atom.pred in ("rd", "wr"):
+    if atom.pred not in COMPARISONS:
         return None
     if not all(isinstance(arg, Int) for arg in atom.args):
         return None
-    a = atom.args[0].value
-    b = atom.args[1].value
-    return {
-        "eq": a == b,
-        "ne": a != b,
-        "lt": a < b,
-        "le": a <= b,
-        "gt": a > b,
-        "ge": a >= b,
-    }[atom.pred]
+    return COMPARISONS[atom.pred](atom.args[0].value, atom.args[1].value)
 
 
 def simplify_formula(formula: Formula, _memo: dict | None = None,

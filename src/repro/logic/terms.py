@@ -11,8 +11,9 @@ dictionary keys, and compared structurally.  Three constructors suffice:
 Machine operators are *total*: they reduce their integer operands modulo
 2**64 before computing, so a term like ``add64(x, y)`` always denotes a
 value in ``[0, 2**64)`` no matter what ``x`` and ``y`` denote.  This mirrors
-the paper's circled-plus definition and keeps the arithmetic axiom schemas
-(:mod:`repro.lf.arith`) unconditional.
+the paper's circled-plus definition and keeps the LF signature's arithmetic
+proof constants, and the checks :mod:`repro.lf.arith` runs for them,
+unconditional.
 
 Memory is modelled with ``sel``/``upd`` exactly as in the paper: ``rm`` is a
 pseudo-register holding the whole memory state, ``sel(rm, a)`` reads address
@@ -265,6 +266,11 @@ OPS: dict[str, _OpSpec] = {
     "mul": _OpSpec(2, _ev_mul),
 }
 
+#: Operators whose result always lies in [0, 2^64): every machine operator,
+#: ``sel`` included because memory cells hold words, but not ``upd``
+#: (memory-valued) or the pure integer operators.
+WORD_VALUED_OPS = frozenset(OPS) - {"upd", "add", "sub", "mul"}
+
 
 def _coerce(value: int | Term) -> Term:
     if isinstance(value, int):
@@ -408,11 +414,13 @@ def make_memory(contents: Mapping[int, int] | None = None) -> _Memory:
     return _Memory(contents)
 
 
-def eval_term(term: Term, env: Env) -> object:
+def eval_term(term: Term, env: Env, _memo: dict | None = None) -> object:
     """Evaluate ``term`` in ``env`` (variable name -> int or memory).
 
     Raises :class:`LogicError` if a variable is unbound.  Integer results
     are unbounded; machine operators internally reduce mod 2**64.
+    Memoized per call by node identity, so a shared node is evaluated
+    once; terms evaluated in the same ``env`` may share one ``_memo``.
     """
     if isinstance(term, Int):
         return term.value
@@ -420,9 +428,13 @@ def eval_term(term: Term, env: Env) -> object:
         if term.name not in env:
             raise LogicError(f"unbound variable {term.name!r}")
         return env[term.name]
+    memo = _memo if _memo is not None else {}
+    if id(term) in memo:
+        return memo[id(term)]
     spec = OPS[term.op]
-    args = [eval_term(arg, env) for arg in term.args]
-    return spec.evaluate(*args)
+    args = [eval_term(arg, env, memo) for arg in term.args]
+    result = memo[id(term)] = spec.evaluate(*args)
+    return result
 
 
 def all_subterms(term: Term) -> Iterable[Term]:

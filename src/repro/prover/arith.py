@@ -7,19 +7,11 @@ constant's side condition before the prover commits to it.
 
 from __future__ import annotations
 
-from repro.lf.arith import WORD_VALUED_OPS, _linear_form  # shared, deliberately
-from repro.logic.formulas import Atom
+# Shared with the consumer's checks, deliberately.
+from repro.lf.arith import _linear_form, is_word_valued  # noqa: F401
+from repro.logic.formulas import COMPARISONS, Atom
 from repro.logic.pretty import pp_term
 from repro.logic.terms import App, Int, Term, Var, WORD_MOD
-
-
-def is_word_valued(term: Term) -> bool:
-    """True if ``term`` certainly denotes a value in [0, 2^64)."""
-    if isinstance(term, Int):
-        return 0 <= term.value < WORD_MOD
-    if isinstance(term, App):
-        return term.op in WORD_VALUED_OPS
-    return False
 
 
 def match_term(pattern: Term, term: Term,
@@ -83,4 +75,4 @@ def linear_difference(term: Term, base: Term) -> Term | None:
 
 def is_linear_atom(atom: Atom) -> bool:
     """True if the atom can contribute to a linear-arithmetic argument."""
-    return atom.pred in ("eq", "ne", "lt", "le", "gt", "ge")
+    return atom.pred in COMPARISONS

@@ -18,8 +18,10 @@ from repro.vcgen.policy import resource_access_policy
 #: ``--hypothesis-profile=ci`` widens the search of the suites that take
 #: their example count from the loaded profile (the LF checker
 #: differential, ``tests/pcc/test_checker_differential.py``, the
-#: producer round trip, ``tests/pcc/test_certify_roundtrip.py``, and the
-#: three compiled-vs-generic batch searches in
+#: producer round trip, ``tests/pcc/test_certify_roundtrip.py``, the
+#: soundness of every arithmetic proof constant,
+#: ``tests/proof/test_rule_soundness.py``, and the three
+#: compiled-vs-generic batch searches in
 #: ``tests/runtime/test_backend_differential.py``); every other suite
 #: pins its own count.
 settings.register_profile("ci", max_examples=400, deadline=None)

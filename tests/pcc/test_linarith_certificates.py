@@ -7,6 +7,12 @@ with the proof ``impi a c (λh:pf a. linarith a c h)``, where ``a`` is 126
 evenly in every column: a checker that eliminated variables itself would
 build millions of rows before giving up.  A tampered certificate is
 filter4's own container with one nonzero weight zeroed or doubled.
+
+The side conditions' sharing bombs are filter1's code with the proof
+``arith_eval (eq t_k t_k)`` or ``norm_mod_eq t_k t_k``, where ``t_0 = 1``
+and ``t_{k+1} = add t_k t_k`` is shared on the wire: a walker that
+expands the DAG into a tree does 2^k work on a container of a few hundred
+bytes.
 """
 
 import random
@@ -99,6 +105,39 @@ def test_fm_bomb_rejects_faster_than_filter4_validates(filter_policy,
     assert "'linarith'" in new_reason
     assert old_form < filter4_seconds
     assert new_form < filter4_seconds
+
+
+def _sharing_bomb(filter1_code: bytes, constant: str, depth: int) -> bytes:
+    term = LfInt(1)
+    for __ in range(depth):
+        term = lf_app(LfConst("add"), term, term)
+    if constant == "arith_eval":
+        proof = lf_app(LfConst("arith_eval"),
+                       lf_app(LfConst("eq"), term, term))
+    else:
+        proof = lf_app(LfConst(constant), term, term)
+    relocation, stream = pack_proof(proof)
+    return PccBinary(filter1_code, relocation, stream).to_bytes()
+
+
+#: Depth 22 and 24 take about 10 s each in a side condition that walks
+#: the expanded tree (4x per two levels); 64 is a container of about
+#: 455 bytes.
+@pytest.mark.parametrize("constant, depth", [
+    ("arith_eval", 22), ("arith_eval", 64),
+    ("norm_mod_eq", 24), ("norm_mod_eq", 64),
+])
+def test_sharing_bomb_rejects_faster_than_filter4_validates(
+        filter_policy, certified_filters, constant, depth):
+    started = time.perf_counter()
+    validate(certified_filters["filter4"].binary.to_bytes(), filter_policy)
+    filter4_seconds = time.perf_counter() - started
+
+    blob = _sharing_bomb(certified_filters["filter1"].binary.code,
+                         constant, depth)
+    seconds, reason = _timed_rejection(blob, filter_policy)
+    assert "does not prove the safety predicate" in reason
+    assert seconds < filter4_seconds
 
 
 def test_prover_gives_up_on_the_bomb():

@@ -47,6 +47,14 @@ any_ints = st.integers(min_value=-(1 << 70), max_value=1 << 70)
 
 X, Y = Var("x"), Var("y")
 
+_CI = settings.get_profile("ci")
+
+
+def _examples(tier1: int) -> int:
+    """An example count pinned in tier-1 and taken from the profile under
+    ``--hypothesis-profile=ci`` (registered in ``tests/conftest.py``)."""
+    return _CI.max_examples if settings.default is _CI else tier1
+
 
 #: The proof constants of the predicate calculus; every other proof
 #: constant is an arithmetic schema.
@@ -227,7 +235,7 @@ class TestLinarithSoundness:
         left = App("add", (App("mul", (Int(a), X)), App("mul", (Int(b), Y))))
         return Atom(pred, (left, Int(c)))
 
-    @settings(max_examples=200)
+    @settings(max_examples=_examples(200))
     @given(st.lists(st.tuples(
         st.sampled_from(["le", "lt", "ge", "gt", "eq"]),
         st.integers(min_value=-5, max_value=5),
